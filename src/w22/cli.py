@@ -4,7 +4,8 @@ All scalar input is parsed as exact rational strings ("p/q" or integers);
 there is no float path.  Output is JSON (default) or CSV and is byte-for-byte
 reproducible for a fixed invocation.  Exit codes: 0 on computed success
 (including expected failures that match their recorded expectation), 1 on an
-unexpected property violation, 2 on usage errors.
+unexpected property violation, 2 on usage errors and out-of-bound input;
+any other exception is an internal fault and propagates.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import identities, realizations, verma
-from .algebra import jacobi_report
+from .algebra import IndexLimitError, jacobi_report
 from .scalars import PARAM_POLYS, QQ, parse_rational
 from .verma import DEFAULT_MAX_LEVEL, HWParams
 
@@ -356,10 +357,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         code, text = _HANDLERS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (verma.LevelBoundError, ValueError) as exc:
+    except (UsageError, verma.LevelBoundError, IndexLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(text)

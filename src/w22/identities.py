@@ -3,7 +3,7 @@
 Each case states an expression and its expected normal form in a small prefix
 syntax, e.g. ``(br (L -2) (I 4))`` with expected ``(scale 6 (I 2))``.  A case
 passes when the normal-ordered residual (expression minus expected) is
-exactly zero.  Two cases transcribe known slips in the written source of the
+exactly zero.  Three cases transcribe known slips in the written source of the
 corpus and are recorded as expected failures: the engine always follows the
 defining relations, so their residuals are nonzero in a predicted direction.
 """

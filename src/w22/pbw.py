@@ -1,11 +1,16 @@
-"""Universal enveloping algebra with confluent PBW normal ordering.
+"""Universal enveloping algebra with PBW normal ordering.
 
 Monomials are words in the generators; a word is in normal form when it is
 nondecreasing in the canonical order ``C < C1 < I(n) (asc) < L(n) (asc)``.
-The single rewrite rule ``g*h -> h*g + [g, h]`` (for an adjacent inversion
-``g > h``) terminates and is confluent, so every element has a unique normal
-form.  With this order the I modes, which commute among themselves, collect
-into a block before the L modes, which keeps module actions cheap.
+With this order the I modes, which commute among themselves, collect into a
+block before the L modes, which keeps module actions cheap.
+
+All rewriting goes through one kernel, the insertion of a generator g into a
+normal word ``h t``: ``g h t`` is normal when ``g <= h``, and otherwise
+``g h t = h (g t) + [g, h] t``, two insertions into shorter normal words.
+Insertions are memoised on (generator, word) for the length of one call.
+Rewriting terminates and the normal form is unique (PBW), so the order in
+which inversions are rewritten does not matter.
 
 ``C`` and ``C1`` stay formal generators here; they are only evaluated to
 scalars inside the Verma machinery.
@@ -28,10 +33,12 @@ __all__ = [
     "ue",
 ]
 
-#: Default bound on the length of a word entering the rewriter.
+#: Bound on the length of a word entering the rewriter or formed by a product.
 WORD_LIMIT = 64
 
 Word = tuple
+
+_ONE = Fraction(1)
 
 
 class WordLengthError(ValueError):
@@ -128,55 +135,67 @@ def ue(x) -> UEElement:
     return UEElement({(): x})
 
 
-def _find_inversion(word, strategy: str):
-    positions = range(len(word) - 1)
-    if strategy == "rightmost":
-        positions = reversed(positions)
-    elif strategy != "leftmost":
-        raise ValueError(f"unknown rewrite strategy {strategy!r}")
-    for i in positions:
-        if word[i + 1] < word[i]:
-            return i
-    return None
+def _accumulate(out: dict, pairs, factor) -> None:
+    """Add ``factor`` times the (key, coef) ``pairs`` into ``out``, dropping
+    zeros.  The coefficient ``_ONE`` of an insertion that was already normal,
+    the most common case, is not multiplied out."""
+    for key, coef in pairs:
+        s = out.get(key, 0) + (factor if coef is _ONE else factor * coef)
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
 
 
-def normal_order(word, strategy: str = "leftmost", max_len: int = WORD_LIMIT) -> UEElement:
+def _insert(g: Generator, word: Word, memo: dict) -> tuple:
+    """``g`` times the normal word ``word``, as (normal word, coef) pairs."""
+    if not word or g <= word[0]:
+        return (((g,) + word, _ONE),)
+    key = (g, word)
+    hit = memo.get(key)
+    if hit is None:
+        h, tail = word[0], word[1:]
+        out = {}
+        for w, c in _insert(g, tail, memo):
+            _accumulate(out, _insert(h, w, memo), c)
+        for gen, bc in bracket_gen(g, h).terms.items():
+            _accumulate(out, _insert(gen, tail, memo), bc)
+        hit = memo[key] = tuple(out.items())
+    return hit
+
+
+def _fold(word: Word, terms: dict, memo: dict) -> dict:
+    """``word`` times the normal-form ``terms``, rightmost letter first."""
+    for g in reversed(word):
+        step = {}
+        for w, c in terms.items():
+            _accumulate(step, _insert(g, w, memo), c)
+        terms = step
+    return terms
+
+
+def normal_order(word) -> UEElement:
     """Rewrite an arbitrary word into its unique PBW normal form.
 
-    The result is independent of ``strategy`` (leftmost- vs rightmost-
-    inversion-first); the invariant is exercised by the test suite on random
-    words.  Rewriting never lengthens a word, so only the input length is
-    checked against ``max_len``.
+    Rewriting never lengthens a word, so only the input length is checked
+    against ``WORD_LIMIT``.
     """
     word = tuple(word)
-    if len(word) > max_len:
-        raise WordLengthError(f"word of length {len(word)} exceeds bound {max_len}")
-    result = {}
-    pending = [(word, Fraction(1))]
-    while pending:
-        w, coef = pending.pop()
-        i = _find_inversion(w, strategy)
-        if i is None:
-            s = result.get(w, 0) + coef
-            if s:
-                result[w] = s
-            else:
-                result.pop(w, None)
-            continue
-        head, g, h, tail = w[:i], w[i], w[i + 1], w[i + 2:]
-        pending.append((head + (h, g) + tail, coef))
-        for gen, bc in bracket_gen(g, h).terms.items():
-            pending.append((head + (gen,) + tail, coef * bc))
-    return UEElement(result)
+    if len(word) > WORD_LIMIT:
+        raise WordLengthError(f"word of length {len(word)} exceeds bound {WORD_LIMIT}")
+    return UEElement(_fold(word, {(): _ONE}, {}))
 
 
-def multiply(u: UEElement, v: UEElement, max_len: int = WORD_LIMIT) -> UEElement:
+def multiply(u: UEElement, v: UEElement) -> UEElement:
     """The associative product of U, returned in normal form."""
-    out = UEElement()
-    for w1, c1 in u.terms.items():
-        for w2, c2 in v.terms.items():
-            out = out + (c1 * c2) * normal_order(w1 + w2, max_len=max_len)
-    return out
+    n = u.max_word_length() + v.max_word_length()
+    if n > WORD_LIMIT:
+        raise WordLengthError(f"product of length {n} exceeds bound {WORD_LIMIT}")
+    memo = {}
+    out = {}
+    for word, coef in u.terms.items():
+        _accumulate(out, _fold(word, v.terms, memo).items(), coef)
+    return UEElement(out)
 
 
 def commutator(u: UEElement, v: UEElement) -> UEElement:

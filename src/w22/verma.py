@@ -7,11 +7,12 @@ its basis is indexed by pairs of partitions (one for the I modes, one for the
 L modes) of total size n, matching the PBW words ``I(-j1)..I(-jr)
 L(-k1)..L(-ks) v``.
 
-The generator action is computed by straightening: a generator is commuted
-through a basis word with the defining bracket until it either lands in
-normal position or hits the highest weight vector.  Everything is exact, and
-works identically over rational parameters and over the symbolic polynomial
-ring in (lambda, c, c0, c1).
+The generator action is computed by straightening.  The basis words are
+exactly the PBW normal words of U(n-), so a negative mode acts by
+:func:`w22.pbw.normal_order`.  Any other generator is commuted through a
+basis word with the defining bracket until it hits the highest weight
+vector.  Everything is exact, and works identically over rational parameters
+and over the symbolic polynomial ring in (lambda, c, c0, c1).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import NamedTuple, Optional
 
 from . import linalg
 from .algebra import Generator, I, L, LieElement, bracket_gen
+from .pbw import _accumulate, normal_order
 from .scalars import PARAM_POLYS, QQ
 
 __all__ = [
@@ -105,8 +107,11 @@ class BasisMonomial(NamedTuple):
             return I(-self.i_part[0]), BasisMonomial(self.i_part[1:], self.l_part)
         return L(-self.l_part[0]), BasisMonomial((), self.l_part[1:])
 
-    def insert_i(self, j: int) -> "BasisMonomial":
-        return BasisMonomial(tuple(sorted(self.i_part + (j,), reverse=True)), self.l_part)
+    @classmethod
+    def of_word(cls, word) -> "BasisMonomial":
+        """Inverse of :meth:`word` on normal words in negative modes."""
+        i_part = tuple(-g.index for g in word if g.kind == "I")
+        return cls(i_part, tuple(-g.index for g in word if g.kind == "L"))
 
     def __str__(self) -> str:
         if not self.i_part and not self.l_part:
@@ -224,47 +229,32 @@ def highest_weight_vector() -> VermaVector:
 @lru_cache(maxsize=None)
 def _act_on_monomial(g: Generator, mono: BasisMonomial, p: HWParams):
     """Coordinates of g acting on one basis monomial, as (monomial, coeff)
-    pairs.  This is the straightening recursion; results are memoised per
-    parameter point."""
+    pairs, memoised per parameter point.  A negative mode acts by normal
+    ordering in U; any other generator moves right through ``mono = h t`` by
+    ``g h t v = h (g t v) + [g, h] t v`` until it meets v."""
     kind, k = g.kind, g.index
     if kind == "C":
         return ((mono, p.c),)
     if kind == "C1":
         return ((mono, p.c1),)
-    i_part, l_part = mono
+    if k < 0:
+        return tuple(
+            (BasisMonomial.of_word(w), c)
+            for w, c in normal_order((g,) + mono.word()).terms.items()
+        )
     if kind == "L" and k == 0:
         return ((mono, p.lam - mono.level()),)
-    if kind == "I":
-        if k < 0:
-            return ((mono.insert_i(-k), Fraction(1)),)
-        if not l_part:
-            # I(k) commutes through the I block and meets v directly.
-            return ((mono, p.c0),) if k == 0 else ()
-    else:  # kind == "L"
-        if k < 0 and not i_part and (not l_part or -k >= l_part[0]):
-            return ((BasisMonomial((), (-k,) + l_part), Fraction(1)),)
-        if k > 0 and not i_part and not l_part:
-            return ()
+    if kind == "I" and not mono.l_part:
+        # I(k) commutes through the I block and meets v directly.
+        return ((mono, p.c0),) if k == 0 else ()
+    if mono == EMPTY_MONOMIAL:
+        return ()
     head, tail = mono.split_head()
     out = {}
-
-    def accumulate(pairs, factor):
-        for m, s in pairs:
-            val = out.get(m, 0) + factor * s
-            if val:
-                out[m] = val
-            else:
-                out.pop(m, None)
-
     for m2, s2 in _act_on_monomial(g, tail, p):
-        accumulate(_act_on_monomial(head, m2, p), s2)
+        _accumulate(out, _act_on_monomial(head, m2, p), s2)
     for gen2, bc in bracket_gen(g, head).terms.items():
-        if gen2.kind == "C":
-            accumulate(((tail, p.c),), bc)
-        elif gen2.kind == "C1":
-            accumulate(((tail, p.c1),), bc)
-        else:
-            accumulate(_act_on_monomial(gen2, tail, p), bc)
+        _accumulate(out, _act_on_monomial(gen2, tail, p), bc)
     return tuple(out.items())
 
 
@@ -273,12 +263,7 @@ def act(g: Generator, w: VermaVector, p: HWParams) -> VermaVector:
     new_level = w.level - g.weight
     out = {}
     for mono, coef in w.coords.items():
-        for m2, s2 in _act_on_monomial(g, mono, p):
-            val = out.get(m2, 0) + coef * s2
-            if val:
-                out[m2] = val
-            else:
-                out.pop(m2, None)
+        _accumulate(out, _act_on_monomial(g, mono, p), coef)
     return VermaVector(max(new_level, 0), out)
 
 

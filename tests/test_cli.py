@@ -164,6 +164,19 @@ class TestExitCodes:
         assert cli.main(["frobnicate"]) == 2
         capsys.readouterr()
 
+    def test_usage_error_on_index_bound(self, capsys):
+        code, _, err = run(capsys, "jacobi", "--max-index", "1000001")
+        assert code == 2
+        assert "index" in err
+
+    def test_internal_fault_is_not_a_usage_error(self, capsys, monkeypatch):
+        def inexact(*args, **kwargs):
+            raise ValueError("inexact polynomial division")
+
+        monkeypatch.setattr(cli.verma, "shapovalov_det", inexact)
+        with pytest.raises(ValueError, match="inexact"):
+            cli.main(["det", "--level", "1", "--lam", "1"])
+
     def test_env_var_controls_level_bound(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.ENV_MAX_LEVEL, "2")
         code, _, err = run(capsys, "gram", "--level", "3", "--symbolic")

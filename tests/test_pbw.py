@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from naive_rewriter import naive_normal_order
 from w22.algebra import C, C1, I, L, bracket_gen, generator_window
 from w22.pbw import (
+    WORD_LIMIT,
     UEElement,
     WordLengthError,
     commutator,
@@ -49,16 +51,18 @@ class TestNormalOrder:
     def test_word_length_bound(self):
         with pytest.raises(WordLengthError):
             normal_order(tuple(I(-1) for _ in range(65)))
+        half = UEElement({tuple(I(-1) for _ in range(32)): Fraction(1)})
+        assert multiply(half, half).max_word_length() == WORD_LIMIT
         with pytest.raises(WordLengthError):
-            normal_order((L(1), L(2), L(3), L(4), L(5)), max_len=4)
+            multiply(half, multiply(ue(I(-1)), half))
 
     def test_confluence_of_strategies(self):
         rng = random.Random(2024)
         for _ in range(200):
             w = random_word(rng)
-            left = normal_order(w, strategy="leftmost")
-            right = normal_order(w, strategy="rightmost")
-            assert left == right
+            left = naive_normal_order(w, "leftmost")
+            right = naive_normal_order(w, "rightmost")
+            assert left == right == normal_order(w)
 
     def test_filtration_never_grows(self):
         rng = random.Random(11)

@@ -118,6 +118,16 @@ class TestAction:
         w = act(L(1), vec(1, (mono((1,)), 1)), self.p)
         assert w == VermaVector(0, {mono(): -2 * C0})
 
+    def test_creation_outputs(self):
+        # L(-1) I(-2) v = I(-2) L(-1) v + [L(-1), I(-2)] v
+        w = act(L(-1), vec(2, (mono((2,)), 1)), self.p)
+        assert w == vec(3, (mono((2,), (1,)), 1), (mono((3,)), -1))
+        w = act(L(-1), vec(2, (mono((), (2,)), 1)), self.p)
+        assert w == vec(3, (mono((), (2, 1)), 1), (mono((), (3,)), -1))
+        # The I modes commute: only reordering.
+        w = act(I(-1), vec(3, (mono((2,), (1,)), 1)), self.p)
+        assert w == vec(4, (mono((2, 1), (1,)), 1))
+
     def test_positive_modes_annihilate_highest_weight_vector(self):
         v = highest_weight_vector()
         for k in range(1, 5):
