@@ -19,6 +19,7 @@ scalars inside the Verma machinery.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import le
 
 from .algebra import Generator, LieElement, bracket_gen
 
@@ -164,6 +165,10 @@ def _insert(g: Generator, word: Word, memo: dict) -> tuple:
     return hit
 
 
+def _is_normal(word: Word) -> bool:
+    return all(map(le, word, word[1:]))
+
+
 def _fold(word: Word, terms: dict, memo: dict) -> dict:
     """``word`` times the normal-form ``terms``, rightmost letter first."""
     for g in reversed(word):
@@ -187,14 +192,23 @@ def normal_order(word) -> UEElement:
 
 
 def multiply(u: UEElement, v: UEElement) -> UEElement:
-    """The associative product of U, returned in normal form."""
-    n = u.max_word_length() + v.max_word_length()
+    """The associative product of U, returned in normal form.
+
+    A right factor whose words are not all normal is normal-ordered first,
+    because the fold inserts letters into normal words only."""
+    right_len = v.max_word_length()
+    n = u.max_word_length() + right_len
     if n > WORD_LIMIT:
         raise WordLengthError(f"product of length {n} exceeds bound {WORD_LIMIT}")
     memo = {}
+    right = v.terms
+    if right_len > 1 and not all(map(_is_normal, right)):
+        right = {}
+        for word, coef in v.terms.items():
+            _accumulate(right, _fold(word, {(): _ONE}, memo).items(), coef)
     out = {}
     for word, coef in u.terms.items():
-        _accumulate(out, _fold(word, v.terms, memo).items(), coef)
+        _accumulate(out, _fold(word, right, memo).items(), coef)
     return UEElement(out)
 
 

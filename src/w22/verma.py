@@ -17,7 +17,7 @@ and over the symbolic polynomial ring in (lambda, c, c0, c1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -70,6 +70,14 @@ class HWParams:
     c0: object
     c1: object
     ring: object
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Every memoised action is keyed by the point, so hash it once.
+        object.__setattr__(self, "_hash", hash((self.lam, self.c, self.c0, self.c1, self.ring)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def rational(cls, lam, c, c0, c1) -> "HWParams":
@@ -323,10 +331,47 @@ def gram_matrix(n: int, p: HWParams, max_level: int = DEFAULT_MAX_LEVEL) -> Gram
     return GramMatrix(level=n, basis=basis, entries=entries)
 
 
+def _sort_sign(keys) -> int:
+    """Sign of the permutation that stably sorts ``keys`` into ascending order."""
+    inversions = sum(a > b for i, a in enumerate(keys) for b in keys[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
 def shapovalov_det(n: int, p: HWParams, max_level: int = DEFAULT_MAX_LEVEL):
-    """Determinant of the level-n Gram matrix in the canonical basis order."""
-    gram = gram_matrix(n, p, max_level)
-    return linalg.det(gram.entries, p.ring)
+    """Determinant of the level-n Gram matrix in the canonical basis order.
+
+    The Gram matrix is block triangular: ``<row, col> = 0`` whenever the row
+    monomial has more I factors than the column monomial has L factors.
+    Proof: :func:`_pairing` applies omega(row) to the column, and the row's
+    positive modes ``I(j1) ... I(ja)`` act first.  A positive ``I(j)``
+    commutes with every ``I(-k)`` and kills v, so every surviving term has
+    met an ``L(-k)``, and ``[I(j), L(-k)]`` is an I mode or ``C1``.  An I
+    mode that is still positive goes on to the right; ``I(0)`` only meets
+    further ``L(-k')`` (giving I modes) or v (a scalar); a negative I mode
+    moves left past ``L(-k')``, which gives only I modes.  So each positive
+    I mode lowers the column's L count by at least one and never raises it,
+    and after ``a > d`` of them, d the column's L count, the vector is 0.
+
+    Group the rows by I count and the columns by L count, each group in
+    canonical order.  Swapping the two colours maps one group of size a onto
+    the other, so the diagonal blocks are square, and
+    ``det = sign(row perm) * sign(col perm) * prod_a det(G_aa)``.  Only the
+    diagonal blocks are assembled, each is eliminated by Bareiss on its own,
+    and a zero block ends the product.
+    """
+    basis = level_basis(n, max_level)
+    i_counts = [len(b.i_part) for b in basis]
+    l_counts = [len(b.l_part) for b in basis]
+    one = p.ring.one
+    det = one if _sort_sign(i_counts) == _sort_sign(l_counts) else -one
+    for a in range(n + 1):
+        rows = [b for b, k in zip(basis, i_counts) if k == a]
+        units = [VermaVector(n, {b: Fraction(1)}) for b, k in zip(basis, l_counts) if k == a]
+        block = linalg.det([[_pairing(r, u, p) for u in units] for r in rows], p.ring)
+        if not block:
+            return p.ring.zero
+        det = det * block
+    return det
 
 
 @dataclass(frozen=True)
@@ -360,11 +405,18 @@ def singular_vectors(
 ) -> list[SingularVector]:
     """Exact basis of the level-n vectors annihilated by L(1), L(2), I(1),
     I(2); these four generate the whole positive part, so the result is the
-    space of singular vectors at that level."""
+    space of singular vectors at that level.
+
+    A singular vector w lies in the radical of the contravariant form, since
+    ``<x v, w> = <v, omega(x) w> = 0`` for every x in U(n-) of degree n
+    (omega(x) is a sum of positive-mode words).  So where the determinant is
+    nonzero the result is ``[]``, found without any elimination."""
     if n < 1:
         raise ValueError("singular vectors live at positive levels")
     if not p.ring.is_field:
         raise TypeError("singular-vector search requires rational parameters")
+    if shapovalov_det(n, p, max_level):
+        return []
     basis = level_basis(n, max_level)
     rows = []
     for g in (L(1), L(2), I(1), I(2)):

@@ -93,6 +93,11 @@ class TestMultiply:
         assert multiply(ue(C), u) == multiply(u, ue(C))
         assert multiply(ue(C1), u) == multiply(u, ue(C1))
 
+    def test_non_normal_right_factor(self):
+        right = UEElement({(L(1), L(-1)): Fraction(1)})
+        assert multiply(ue(L(0)), right) == normal_order((L(0), L(1), L(-1)))
+        assert multiply(UEElement.one(), right) == normal_order((L(1), L(-1)))
+
     def test_associativity_on_random_elements(self):
         rng = random.Random(5)
         for _ in range(15):

@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from w22 import linalg
 from w22.algebra import C, C1, I, L, bracket, generator_window
 from w22.scalars import PARAM_POLYS, Poly
 from w22.verma import (
+    DEFAULT_MAX_LEVEL,
     BasisMonomial,
     HWParams,
     LevelBoundError,
@@ -20,6 +23,7 @@ from w22.verma import (
     level_basis,
     shapovalov_det,
     singular_vectors,
+    _action_rows,
 )
 
 LAM, CC, C0, C1V = PARAM_POLYS.lam, PARAM_POLYS.c, PARAM_POLYS.c0, PARAM_POLYS.c1
@@ -31,6 +35,27 @@ def mono(i_part=(), l_part=()):
 
 def vec(level, *items):
     return VermaVector(level, {m: Fraction(q) for m, q in items})
+
+
+# Points on the loci (m^2 - 1)/12 * c1 = 2 * c0 for m = 1..5: the form first
+# degenerates at level m.
+LOCUS_POINTS = [
+    HWParams.rational(2, 1, 0, 5),
+    HWParams.rational(2, 1, 1, 8),
+    HWParams.rational(2, 1, 1, 3),
+    HWParams.rational(Fraction(1, 2), -3, 5, 8),
+    HWParams.rational(2, 1, 1, 1),
+]
+
+
+def seeded_points(seed, count):
+    """Rational points with small random numerators and denominators."""
+    rng = random.Random(seed)
+
+    def q():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+    return [HWParams.rational(q(), q(), q(), q()) for _ in range(count)]
 
 
 # -- independent dimension oracles ------------------------------------------
@@ -209,6 +234,45 @@ class TestGram:
                 assert s_val == x
 
 
+class TestGramBlocks:
+    """The zero pattern behind the block product in shapovalov_det, and the
+    product itself against full Bareiss on the whole Gram matrix."""
+
+    @staticmethod
+    def assert_zero_pattern(gram):
+        for row, entries in zip(gram.basis, gram.entries):
+            for col, x in zip(gram.basis, entries):
+                if len(row.i_part) > len(col.l_part):
+                    assert x == 0, (row, col)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_zero_pattern_rational(self, n):
+        for p in seeded_points(n, 2):
+            self.assert_zero_pattern(gram_matrix(n, p))
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_zero_pattern_symbolic(self, n):
+        self.assert_zero_pattern(gram_matrix(n, HWParams.symbolic()))
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_block_product_equals_full_bareiss_symbolic(self, n):
+        p = HWParams.symbolic()
+        assert shapovalov_det(n, p) == linalg.det(gram_matrix(n, p).entries, p.ring)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_block_product_equals_full_bareiss_rational(self, n):
+        # Level 6 is the costliest oracle, and every locus point is
+        # degenerate there: one seeded point only.
+        points = seeded_points(10 + n, 1) + (LOCUS_POINTS if n < 6 else [])
+        for p in points:
+            assert shapovalov_det(n, p) == linalg.det(gram_matrix(n, p).entries, p.ring)
+
+    def test_symbolic_level_five_is_free_of_lambda_and_c(self):
+        det = shapovalov_det(5, HWParams.symbolic())
+        assert det
+        assert all(exp[0] == exp[1] == 0 for exp in det.terms)
+
+
 class TestDeterminant:
     def test_level_zero_and_one(self):
         p = HWParams.symbolic()
@@ -288,6 +352,20 @@ class TestSingularVectors:
                 for k in range(1, n + 1):
                     assert act(L(k), sv.vector, p).is_zero()
                     assert act(I(k), sv.vector, p).is_zero()
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_radical_first_exit_matches_explicit_kernel(self, n):
+        # The loci m = n - 1, n (degenerate) and m = n + 1 (not yet).
+        for p in seeded_points(20 + n, 1) + LOCUS_POINTS[max(n - 2, 0):n + 1]:
+            basis = level_basis(n)
+            rows = []
+            for g in (L(1), L(2), I(1), I(2)):
+                rows.extend(_action_rows(g, n, p, DEFAULT_MAX_LEVEL))
+            kernel = [
+                VermaVector(n, dict(zip(basis, v)))
+                for v in linalg.nullspace(rows, len(basis))
+            ]
+            assert [s.vector for s in singular_vectors(n, p)] == kernel
 
     def test_requires_rational_parameters(self):
         with pytest.raises(TypeError):
