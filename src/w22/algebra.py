@@ -11,6 +11,12 @@ central elements ``C`` and ``C1``.  The bracket is
 These four relations are the single source of truth for the whole engine;
 everything downstream (normal ordering, module actions, Gram matrices) is
 derived from :func:`bracket_gen`.
+
+Symbols and constants are native values, because every rewriting step
+hashes, compares and multiplies them.  A :class:`Generator` is a tuple, so
+its hash, equality and canonical order are the built-in tuple ones.  The
+structure constants ``m - n`` are ``int``; only the central coefficients
+``(n^3 - n)/12`` are ``Fraction``.  The two mix exactly.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 __all__ = [
     "INDEX_LIMIT",
@@ -49,44 +56,45 @@ class IndexLimitError(ValueError):
     """A generator index exceeded the configured bound."""
 
 
-@dataclass(frozen=True)
-class Generator:
-    """One basis symbol: ``L(n)``, ``I(n)``, ``C`` or ``C1``."""
+class Generator(tuple):
+    """One basis symbol: ``L(n)``, ``I(n)``, ``C`` or ``C1``.
 
-    kind: str
-    index: int = 0
+    Stored as the tuple ``(rank, index, kind)`` with rank 0, 1, 2, 3 for C,
+    C1, I, L, so hashing, equality and ``<`` run on the built-in tuple and
+    tuple order is the canonical order ``C < C1 < I(n) asc < L(n) asc``.
+    """
 
-    def __post_init__(self):
-        if self.kind not in _RANK:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.kind in ("C", "C1"):
-            if self.index != 0:
+    __slots__ = ()
+
+    def __new__(cls, kind: str, index: int = 0):
+        rank = _RANK.get(kind)
+        if rank is None:
+            raise ValueError(f"unknown generator kind {kind!r}")
+        if rank < 2:
+            if index != 0:
                 raise ValueError("central generators carry no index")
-        elif abs(self.index) > INDEX_LIMIT:
-            raise IndexLimitError(
-                f"index {self.index} exceeds the configured bound {INDEX_LIMIT}"
-            )
+        elif abs(index) > INDEX_LIMIT:
+            raise IndexLimitError(f"index {index} exceeds the configured bound {INDEX_LIMIT}")
+        return tuple.__new__(cls, (rank, index, kind))
+
+    def __getnewargs__(self):
+        return (self[2], self[1])
+
+    kind = property(itemgetter(2))
+    index = property(itemgetter(1))
+    # The central generators have index 0, so the ad-L(0) eigenvalue (n for
+    # L(n) and I(n), 0 for C, C1) is the index.
+    weight = index
 
     @property
     def sort_key(self) -> tuple[int, int]:
         """Position in the canonical order C < C1 < I(n) asc < L(n) asc."""
-        return (_RANK[self.kind], self.index)
-
-    @property
-    def weight(self) -> int:
-        """The ad-L(0) eigenvalue: n for L(n) and I(n), 0 for C, C1."""
-        return self.index if self.kind in ("L", "I") else 0
-
-    def __lt__(self, other: "Generator") -> bool:
-        return self.sort_key < other.sort_key
-
-    def __le__(self, other: "Generator") -> bool:
-        return self.sort_key <= other.sort_key
+        return self[:2]
 
     def __str__(self) -> str:
-        if self.kind in ("C", "C1"):
-            return self.kind
-        return f"{self.kind}({self.index})"
+        if self[0] < 2:
+            return self[2]
+        return f"{self[2]}({self[1]})"
 
     __repr__ = __str__
 
@@ -121,7 +129,7 @@ class LieElement:
         return cls()
 
     @classmethod
-    def of(cls, gen: Generator, coef=Fraction(1)) -> "LieElement":
+    def of(cls, gen: Generator, coef=1) -> "LieElement":
         return cls({gen: coef})
 
     def is_zero(self) -> bool:
@@ -163,7 +171,7 @@ class LieElement:
         if not self.terms:
             return "0"
         bits = []
-        for gen in sorted(self.terms, key=lambda g: g.sort_key):
+        for gen in sorted(self.terms):
             coef = self.terms[gen]
             bits.append(f"{coef}*{gen}")
         return " + ".join(bits)
@@ -186,7 +194,7 @@ def bracket_gen(a: Generator, b: Generator) -> LieElement:
     if a.kind == "L" and b.kind == "L":
         out = {}
         if m != n:
-            out[L(n + m)] = Fraction(m - n)
+            out[L(n + m)] = m - n
         if n == -m:
             cc = _central_coeff(n)
             if cc:
@@ -195,7 +203,7 @@ def bracket_gen(a: Generator, b: Generator) -> LieElement:
     if a.kind == "L":  # [L(n), I(m)]
         out = {}
         if m != n:
-            out[I(n + m)] = Fraction(m - n)
+            out[I(n + m)] = m - n
         if n == -m:
             cc = _central_coeff(n)
             if cc:
@@ -205,22 +213,24 @@ def bracket_gen(a: Generator, b: Generator) -> LieElement:
     return -bracket_gen(b, a)
 
 
-def _as_element(x) -> LieElement:
+def _terms(x):
+    """The (generator, coefficient) pairs of a Generator or LieElement."""
     if isinstance(x, Generator):
-        return LieElement.of(x)
+        return ((x, 1),)
     if isinstance(x, LieElement):
-        return x
+        return x.terms.items()
     raise TypeError(f"expected a Generator or LieElement, got {type(x).__name__}")
 
 
 def bracket(x, y) -> LieElement:
     """Bilinear extension of the defining relations."""
-    x, y = _as_element(x), _as_element(y)
-    out = LieElement()
-    for a, ca in x.terms.items():
-        for b, cb in y.terms.items():
-            out = out + (ca * cb) * bracket_gen(a, b)
-    return out
+    out = {}
+    y = _terms(y)
+    for a, ca in _terms(x):
+        for b, cb in y:
+            for g, c in bracket_gen(a, b).terms.items():
+                out[g] = out.get(g, 0) + ca * cb * c
+    return LieElement(out)
 
 
 def sigma(x) -> LieElement:
@@ -230,13 +240,9 @@ def sigma(x) -> LieElement:
     It is an automorphism of the algebra (checked by the test suite on an
     index window) and exchanges raising and lowering modes.
     """
-    x = _as_element(x)
     out = {}
-    for gen, coef in x.terms.items():
-        if gen.kind in ("C", "C1"):
-            image = gen
-        else:
-            image = Generator(gen.kind, -gen.index)
+    for gen, coef in _terms(x):
+        image = Generator(gen.kind, -gen.index)  # central: index 0
         out[image] = out.get(image, 0) - coef
     return LieElement(out)
 

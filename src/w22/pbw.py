@@ -12,13 +12,16 @@ Insertions are memoised on (generator, word) for the length of one call.
 Rewriting terminates and the normal form is unique (PBW), so the order in
 which inversions are rewritten does not matter.
 
+A word is a tuple of :class:`~w22.algebra.Generator` tuples, so memo keys
+and output words hash and compare in C.  Coefficients stay ``int`` until a
+central term brings in a ``Fraction``.
+
 ``C`` and ``C1`` stay formal generators here; they are only evaluated to
 scalars inside the Verma machinery.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import le
 
 from .algebra import Generator, LieElement, bracket_gen
@@ -39,7 +42,7 @@ WORD_LIMIT = 64
 
 Word = tuple
 
-_ONE = Fraction(1)
+_ONE = 1
 
 
 class WordLengthError(ValueError):
@@ -65,7 +68,7 @@ class UEElement:
 
     @classmethod
     def one(cls) -> "UEElement":
-        return cls({(): Fraction(1)})
+        return cls({(): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -113,10 +116,8 @@ class UEElement:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        def word_key(word):
-            return (len(word), tuple(g.sort_key for g in word))
         bits = []
-        for word in sorted(self.terms, key=word_key):
+        for word in sorted(self.terms, key=lambda word: (len(word), word)):
             coef = self.terms[word]
             name = "".join(str(g) for g in word) if word else "1"
             bits.append(f"{coef}*{name}")
@@ -130,7 +131,7 @@ def ue(x) -> UEElement:
     if isinstance(x, UEElement):
         return x
     if isinstance(x, Generator):
-        return UEElement({(x,): Fraction(1)})
+        return UEElement({(x,): 1})
     if isinstance(x, LieElement):
         return UEElement({(g,): c for g, c in x.terms.items()})
     return UEElement({(): x})
@@ -138,8 +139,9 @@ def ue(x) -> UEElement:
 
 def _accumulate(out: dict, pairs, factor) -> None:
     """Add ``factor`` times the (key, coef) ``pairs`` into ``out``, dropping
-    zeros.  The coefficient ``_ONE`` of an insertion that was already normal,
-    the most common case, is not multiplied out."""
+    zeros.  The coefficient 1 of an insertion that was already normal, the
+    most common case, is not multiplied out (CPython shares one int 1, so
+    ``is`` finds it)."""
     for key, coef in pairs:
         s = out.get(key, 0) + (factor if coef is _ONE else factor * coef)
         if s:
@@ -222,11 +224,8 @@ def omega(u: UEElement) -> UEElement:
 
     It is the adjoint used to define the contravariant form on Verma modules.
     """
-    out = UEElement()
+    out = {}
     for word, coef in u.terms.items():
-        image = tuple(
-            g if g.kind in ("C", "C1") else Generator(g.kind, -g.index)
-            for g in reversed(word)
-        )
-        out = out + coef * normal_order(image)
-    return out
+        image = tuple(Generator(g.kind, -g.index) for g in reversed(word))  # central: index 0
+        _accumulate(out, normal_order(image).terms.items(), coef)
+    return UEElement(out)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -111,6 +113,38 @@ class TestWeight:
     def test_grading_consistency(self):
         for g in generator_window(5):
             assert bracket(L(0), g) == weight(g) * LieElement.of(g)
+
+
+class TestGeneratorContract:
+    def test_order_follows_sort_key(self):
+        window = generator_window(3)
+        for a in window:
+            for b in window:
+                assert (a < b) == (a.sort_key < b.sort_key)
+                assert (a <= b) == (a.sort_key <= b.sort_key)
+
+    def test_equality_and_hash_follow_kind_and_index(self):
+        window = generator_window(3)
+        for a in window:
+            twin = Generator(a.kind, a.index)
+            assert twin == a and hash(twin) == hash(a)
+            for b in window:
+                assert (a == b) == ((a.kind, a.index) == (b.kind, b.index))
+        assert len(set(window)) == len(window)
+
+    def test_copy_and_pickle_round_trip(self):
+        for g in (C, C1, I(-3), L(0), L(5)):
+            for twin in [copy.copy(g), copy.deepcopy(g)] + [
+                pickle.loads(pickle.dumps(g, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+            ]:
+                assert type(twin) is Generator
+                assert twin == g and (twin.kind, twin.index) == (g.kind, g.index)
+
+    def test_attributes_and_text(self):
+        assert (L(-2).kind, L(-2).index, L(-2).weight) == ("L", -2, -2)
+        assert (C1.kind, C1.index, C1.weight) == ("C1", 0, 0)
+        assert [str(g) for g in (C, C1, I(4), L(-1))] == ["C", "C1", "I(4)", "L(-1)"]
+        assert repr(I(-7)) == "I(-7)"
 
 
 class TestIndexBound:
