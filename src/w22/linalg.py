@@ -1,9 +1,11 @@
 """Exact dense linear algebra over the engine's scalar domains.
 
-Determinants use fraction-free Bareiss elimination, which only ever divides
-by earlier pivots; those divisions are exact in any integral domain, so the
-same routine serves both the rational and the polynomial scalars.  Kernels
-are computed over the rationals by plain Gauss-Jordan elimination.
+Kernels are computed over the rationals by plain Gauss-Jordan elimination.
+:func:`det` is fraction-free Bareiss elimination, which only ever divides by
+earlier pivots; those divisions are exact in any integral domain, so it
+serves both the rational and the polynomial scalars.  No package code path
+calls it: ``verma.shapovalov_det`` is a closed product, and the tests use
+:func:`det` on the full Gram matrix as its independent oracle.
 """
 
 from __future__ import annotations

@@ -17,10 +17,11 @@ and over the symbolic polynomial ring in (lambda, c, c0, c1).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import factorial, isqrt
 from typing import NamedTuple, Optional
 
 from . import linalg
@@ -331,46 +332,74 @@ def gram_matrix(n: int, p: HWParams, max_level: int = DEFAULT_MAX_LEVEL) -> Gram
     return GramMatrix(level=n, basis=basis, entries=entries)
 
 
-def _sort_sign(keys) -> int:
-    """Sign of the permutation that stably sorts ``keys`` into ascending order."""
-    inversions = sum(a > b for i, a in enumerate(keys) for b in keys[i + 1:])
-    return -1 if inversions % 2 else 1
+def _f(k: int, c0, c1):
+    """``<I(-k) v, L(-k) v> = -k (2 c0 - (k^2 - 1)/12 c1)``, the only factor
+    of the Shapovalov determinant."""
+    return -k * (2 * c0 - Fraction(k * k - 1, 12) * c1)
 
 
 def shapovalov_det(n: int, p: HWParams, max_level: int = DEFAULT_MAX_LEVEL):
-    """Determinant of the level-n Gram matrix in the canonical basis order.
+    """Determinant of the level-n Gram matrix in the canonical basis order,
+    as a closed product: no Gram entry is computed and nothing is eliminated.
 
-    The Gram matrix is block triangular: ``<row, col> = 0`` whenever the row
-    monomial has more I factors than the column monomial has L factors.
-    Proof: :func:`_pairing` applies omega(row) to the column, and the row's
-    positive modes ``I(j1) ... I(ja)`` act first.  A positive ``I(j)``
-    commutes with every ``I(-k)`` and kills v, so every surviving term has
-    met an ``L(-k)``, and ``[I(j), L(-k)]`` is an I mode or ``C1``.  An I
-    mode that is still positive goes on to the right; ``I(0)`` only meets
-    further ``L(-k')`` (giving I modes) or v (a scalar); a negative I mode
-    moves left past ``L(-k')``, which gives only I modes.  So each positive
-    I mode lowers the column's L count by at least one and never raises it,
-    and after ``a > d`` of them, d the column's L count, the vector is 0.
+    Write ``(mu, nu)`` for the basis element ``I(-mu) L(-nu) v`` and pair
+    the row ``(mu, nu)`` with the colour-swapped column ``(nu, mu)``.
+    :func:`_pairing` applies omega(row) to a column ``(alpha, beta)``: the
+    positive modes ``I(mu_1) ... I(mu_a)`` act first, then ``L(nu_1) ...``.
 
-    Group the rows by I count and the columns by L count, each group in
-    canonical order.  Swapping the two colours maps one group of size a onto
-    the other, so the diagonal blocks are square, and
-    ``det = sign(row perm) * sign(col perm) * prod_a det(G_aa)``.  Only the
-    diagonal blocks are assembled, each is eliminated by Bareiss on its own,
-    and a zero block ends the product.
+    I modes.  A positive ``I(j)`` commutes with every ``I(-k)`` and kills v,
+    so every surviving term has met an ``L(-k)``, and ``[I(j), L(-k)]`` is
+    ``I(j - k)``, plus ``C1`` when j = k.  A leftover mode that is still
+    positive goes on to the right, ``I(0)`` only meets further ``L(-k')``
+    (giving I modes) or v (a scalar), and a negative one moves left past
+    ``L(-k')``, which gives only I modes.  So each ``I(mu_i)`` lowers the L
+    count by at least one and never raises it: the form is 0 when
+    ``a > len(beta)``, and for ``a = len(beta)`` each ``I(mu_i)`` removes
+    exactly one ``L(-beta_j)`` and its leftover ``I(mu_i - beta_j)`` removes
+    no other.  A positive leftover then reaches v and kills it, so the
+    survivors match the parts with ``mu_i <= beta_j``: ``mu`` is at most
+    ``beta`` part by part and lexicographically, equal only if every match
+    is exact.  Then the leftover ``I(0)`` meets v, each match gives the
+    scalar ``[I(k), L(-k)]`` on v, that is ``f(k) = <I(-k) v, L(-k) v>``,
+    and the ``prod_k m_k(mu)!`` matchings leave
+    ``prod_k f(k)^{m_k(mu)} m_k(mu)! * I(-alpha) v``.
+
+    L modes.  A positive ``L(k)`` on an I-only word meets some ``I(-m)``:
+    for m < k the positive leftover kills v, for m = k the part goes with
+    the scalar ``<L(-k) v, I(-k) v> = f(k)`` (the form is symmetric), and
+    for m > k it shrinks to m - k.  Reaching v needs each part of alpha to
+    be used up by parts of nu, so nu refines alpha and ``nu <= alpha``
+    lexicographically, equal only if the parts match one to one, which
+    gives ``prod_k f(k)^{m_k(nu)} m_k(nu)!``.
+
+    Hence a nonzero ``<(mu, nu), (alpha, beta)>`` has ``len(mu) <
+    len(beta)``, or ``len(mu) = len(beta)`` and ``(mu, nu) <= (beta,
+    alpha)`` in canonical order, with equality only on the swapped
+    diagonal.  With the basis sorted by I count and then in ascending
+    canonical order, ``<b_i, swap(b_j)>`` is upper triangular with diagonal
+    ``prod_k f(k)^{m_k(mu)} m_k(mu)! * prod_k f(k)^{m_k(nu)} m_k(nu)!``.
+    Sorting rows and columns alike leaves the sign of the colour swap, an
+    involution with one transposition per pair ``mu != nu``, so
+    ``det = (-1)^{(p2(n) - s_n)/2} * prod over (mu, nu) of the diagonal``,
+    where s_n counts the basis elements with ``mu == nu``.  The exponents
+    are collected per k first, so each ``f(k)`` is raised to a power once,
+    and a zero ``f(k)`` ends the product.
     """
-    basis = level_basis(n, max_level)
-    i_counts = [len(b.i_part) for b in basis]
-    l_counts = [len(b.l_part) for b in basis]
-    one = p.ring.one
-    det = one if _sort_sign(i_counts) == _sort_sign(l_counts) else -one
-    for a in range(n + 1):
-        rows = [b for b, k in zip(basis, i_counts) if k == a]
-        units = [VermaVector(n, {b: Fraction(1)}) for b, k in zip(basis, l_counts) if k == a]
-        block = linalg.det([[_pairing(r, u, p) for u in units] for r in rows], p.ring)
-        if not block:
-            return p.ring.zero
-        det = det * block
+    exponents = Counter()
+    scale = 1
+    swapped = 0
+    for b in level_basis(n, max_level):
+        swapped += b.i_part != b.l_part
+        for part in (b.i_part, b.l_part):
+            for k, m in Counter(part).items():
+                exponents[k] += m
+                scale *= factorial(m)
+    factors = [(_f(k, p.c0, p.c1), e) for k, e in sorted(exponents.items())]
+    if not all(fk for fk, _ in factors):
+        return p.ring.zero
+    det = p.ring.one * (-scale if swapped // 2 % 2 else scale)
+    for fk, e in factors:
+        det = det * fk ** e
     return det
 
 
@@ -499,8 +528,10 @@ def i0_matrix(n: int, p: HWParams, max_level: int = DEFAULT_MAX_LEVEL) -> I0Repo
 def first_degenerate_level(
     p: HWParams, max_level: int = DEFAULT_MAX_LEVEL
 ) -> Optional[int]:
-    """Smallest level with a degenerate contravariant form, if any."""
-    for n in range(1, max_level + 1):
-        if not shapovalov_det(n, p, max_level):
-            return n
-    return None
+    """Smallest level with a degenerate contravariant form, if any.
+
+    The level-n determinant is a product of powers of ``f(k)``, and ``f(k)``
+    occurs for exactly the k <= n (``L(-k) L(-1)^{n-k} v`` is a basis
+    element), so the form first degenerates at the smallest m with
+    ``f(m) = 0``."""
+    return next((m for m in range(1, max_level + 1) if not _f(m, p.c0, p.c1)), None)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from w22 import algebra
 from w22.algebra import (
     C,
     C1,
@@ -63,6 +64,35 @@ class TestJacobi:
         assert report.triples_checked == len(generator_window(3)) ** 3
         assert report.violations == []
         assert report.passed
+
+    def test_rotation_classes_report_every_ordered_triple(self, monkeypatch):
+        # [L(m), I(-m)] gains C1 for every m, and [I(-m), L(m)] loses it:
+        # skew, but not a 2-cocycle.  The [I, L] case never reaches the
+        # memoised bracket_gen, whose own [I, L] case would call the patched
+        # name and cache the result.
+        true_bracket_gen = algebra.bracket_gen
+
+        def skewed(a, b):
+            if a.kind == "I" and b.kind == "L":
+                return -skewed(b, a)
+            out = true_bracket_gen(a, b)
+            if a.kind == "L" and b.kind == "I" and a.index + b.index == 0:
+                out = out + LieElement.of(C1)
+            return out
+
+        monkeypatch.setattr(algebra, "bracket_gen", skewed)
+        window = generator_window(2)
+        expected = []
+        for a in window:
+            for b in window:
+                for c in window:
+                    s = bracket(a, skewed(b, c)) + bracket(b, skewed(c, a)) + bracket(c, skewed(a, b))
+                    if s:
+                        expected.append((str(a), str(b), str(c), str(s)))
+        report = jacobi_report(2)
+        assert ("I(-1)", "L(0)", "L(1)", "-2*C1") in expected
+        assert report.violations == expected
+        assert report.triples_checked == len(window) ** 3
 
     def test_specific_triple_with_central_contributions(self):
         a, b, c = L(2), L(-2), I(0)

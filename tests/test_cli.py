@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -5,6 +6,8 @@ import pytest
 
 from w22 import cli
 from w22.scalars import PARAM_POLYS, QQ
+
+from test_verma import SYMBOLIC_DET_SHA256
 
 
 def run(capsys, *argv):
@@ -114,6 +117,73 @@ class TestDeterminism:
         code2, out2, _ = run(capsys, *argv)
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+def _point(lam, c, c0, c1):
+    return ("--lam", lam, "--c", c, "--c0", c0, "--c1", c1)
+
+
+M2_POINT = _point("2", "1", "1", "8")  # first degenerate at level 2
+M5_POINT = _point("2", "1", "1", "1")  # first degenerate at level 5
+
+
+class TestRecordedOutputs:
+    """Stdout recorded once from the block-Bareiss determinant."""
+
+    def test_symbolic_level_eight_determinant(self, capsys):
+        code, out, _ = run(capsys, "det", "--level", "8", "--symbolic")
+        assert code == 0
+        payload = json.loads(out)
+        assert out == json.dumps(payload) + "\n" and list(payload) == ["det"]
+        assert hashlib.sha256(payload["det"].encode()).hexdigest() == SYMBOLIC_DET_SHA256[8]
+
+    @pytest.mark.parametrize(
+        "point, dets",
+        [
+            (M2_POINT, ["-4"] + ["0"] * 7),
+            (M5_POINT, ["-4", "3136", "-22658678784", "-2840166498566745484400001024"] + ["0"] * 4),
+        ],
+    )
+    def test_rational_determinants_at_locus_points(self, capsys, point, dets):
+        for level, det in enumerate(dets, start=1):
+            code, out, _ = run(capsys, "det", "--level", str(level), *point)
+            assert code == 0
+            assert out == '{"det": "%s"}\n' % det, level
+
+    @pytest.mark.parametrize(
+        "point, digest",
+        [
+            (_point("2", "1", "1", "-8"), "8373ca1b7adabaaa7a4c74835e8f85e222392e3d00224840e22027c3c3559e6c"),
+            (_point("1/2", "-3", "2/7", "5"), "1ea0ebff06b0a4fb91cc1dbddac80dfee28278b7e160772b49c2707e1a21e665"),
+        ],
+    )
+    def test_rational_level_eight_determinant(self, capsys, point, digest):
+        code, out, _ = run(capsys, "det", "--level", "8", *point)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "level, point, vectors",
+        [
+            (2, M2_POINT, [{"I(-2)": "4", "I(-1)I(-1)": "-3"}]),
+            (3, M2_POINT, []),
+            (4, M2_POINT, [{"I(-2)I(-2)": "16", "I(-2)I(-1)I(-1)": "-24", "I(-1)I(-1)I(-1)I(-1)": "9"}]),
+            (4, M5_POINT, []),
+            (5, M5_POINT, [{
+                "I(-5)": "4", "I(-4)I(-1)": "-12", "I(-3)I(-2)": "-8", "I(-3)I(-1)I(-1)": "21",
+                "I(-2)I(-2)I(-1)": "16", "I(-2)I(-1)I(-1)I(-1)": "-30", "I(-1)I(-1)I(-1)I(-1)I(-1)": "9",
+            }]),
+        ],
+    )
+    def test_singular_vectors_at_locus_points(self, capsys, level, point, vectors):
+        code, out, _ = run(capsys, "singular", "--level", str(level), *point)
+        assert code == 0
+        expected = {
+            "level": level,
+            "count": len(vectors),
+            "vectors": [{"coefficients": v, "i0_eigenvector": True} for v in vectors],
+        }
+        assert out == json.dumps(expected) + "\n"
 
 
 class TestRoundTrip:

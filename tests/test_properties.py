@@ -1,19 +1,33 @@
-"""Hypothesis properties of the rewriting layer: the memoised kernel against
-the naive rewriter, the omega anti-involution, and exactness of every
-coefficient (int or Fraction, never float or bool)."""
+"""Hypothesis properties: the memoised rewriting kernel against the naive
+rewriter, the omega anti-involution, exactness of every coefficient (int or
+Fraction, never float or bool), the closed-form determinant against Bareiss
+on the full Gram matrix, the first degenerate level against the
+irreducibility criterion, and the Poly ring."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from naive_rewriter import naive_normal_order
+from w22 import linalg
 from w22.algebra import LieElement, bracket, generator_window
 from w22.pbw import UEElement, multiply, normal_order, omega
-from w22.verma import HWParams, VermaVector, act, level_basis
+from w22.scalars import PARAM_POLYS, QQ, Poly
+from w22.verma import (
+    HWParams,
+    VermaVector,
+    act,
+    first_degenerate_level,
+    gram_matrix,
+    is_reducible,
+    level_basis,
+    shapovalov_det,
+)
 
 WINDOW = generator_window(3)
 
 derandomized = settings(derandomize=True, max_examples=150, deadline=None)
+derandomized_short = settings(derandomize=True, max_examples=50, deadline=None)
 
 generators = st.sampled_from(WINDOW)
 rationals = st.integers(-4, 4) | st.fractions(-4, 4, max_denominator=6)
@@ -79,3 +93,66 @@ def test_module_action_coefficients_are_exact(point, g, vector):
     p = HWParams.rational(*point)
     level, coords = vector
     assert_exact(act(g, VermaVector(level, coords), p).coords.values())
+
+
+# -- the forms layer --------------------------------------------------------
+
+points = st.tuples(rationals, rationals, rationals, rationals).map(lambda t: HWParams.rational(*t))
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(st.integers(0, 5), points)
+def test_closed_form_det_matches_full_bareiss(n, p):
+    assert shapovalov_det(n, p) == linalg.det(gram_matrix(n, p).entries, QQ)
+
+
+def locus_point(m, c1):
+    """(c0, c1) with (m^2 - 1)/12 * c1 = 2 * c0."""
+    return Fraction(m * m - 1, 24) * c1, c1
+
+
+@derandomized_short
+@given(
+    st.tuples(rationals, rationals)
+    | st.builds(locus_point, st.integers(1, 10), rationals),
+    st.integers(1, 8),
+)
+def test_first_degenerate_level_is_the_criterion_witness(c0c1, top):
+    c0, c1 = c0c1
+    _, witness = is_reducible(c0, c1)
+    expected = witness if witness is not None and witness <= top else None
+    assert first_degenerate_level(HWParams.rational(0, 0, c0, c1), top) == expected
+
+
+# -- the Poly ring ----------------------------------------------------------
+
+polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 4), rationals, max_size=3
+).map(Poly)
+
+
+@derandomized_short
+@given(polys, polys, polys)
+def test_poly_ring_axioms(x, y, z):
+    zero, one = PARAM_POLYS.zero, PARAM_POLYS.one
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + zero == x and x * one == x and x * zero == zero
+    assert x + (-x) == zero and x - y == x + (-y)
+
+
+@derandomized_short
+@given(polys, st.integers(0, 6))
+def test_poly_power_is_repeated_multiplication(x, k):
+    expected = PARAM_POLYS.one
+    for _ in range(k):
+        expected = expected * x
+    assert x ** k == expected
+
+
+@derandomized_short
+@given(polys)
+def test_poly_string_round_trip(x):
+    assert PARAM_POLYS.parse(str(x)) == x

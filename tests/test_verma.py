@@ -1,5 +1,7 @@
+import hashlib
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -46,6 +48,17 @@ LOCUS_POINTS = [
     HWParams.rational(Fraction(1, 2), -3, 5, 8),
     HWParams.rational(2, 1, 1, 1),
 ]
+
+
+# SHA-256 of str(shapovalov_det(n, HWParams.symbolic())), recorded once from
+# the block-Bareiss determinant (level 8 takes minutes there).  The Poly
+# string is canonical, so any correct evaluation prints these bytes.
+SYMBOLIC_DET_SHA256 = {
+    5: "96c0e9023b851878b6684391c41d0cf93823ffb2cca86db710e2913ef4535920",
+    6: "eec0d8e9582c79989e1bcb65984a48366a26843f265b5d1fa020f0ad02b8ccd8",
+    7: "c7a45d84515e620e4a4fdd5f02c10ed404cd6a039c29da58c1e4c8a1162251a8",
+    8: "c82ebea373d7c9c985b1df9f455e67e403f051d4c24ee5616122528c8bd1348a",
+}
 
 
 def seeded_points(seed, count):
@@ -234,9 +247,25 @@ class TestGram:
                 assert s_val == x
 
 
+def _f(k, p):
+    """<I(-k) v, L(-k) v> = [I(k), L(-k)] on v: the I(0) term and the C1 term."""
+    return -2 * k * p.c0 + Fraction(k ** 3 - k, 12) * p.c1
+
+
+def _diagonal_entry(b, p):
+    """prod_k f(k)^{m_k} m_k! over the parts of each colour of b."""
+    out = Fraction(1)
+    for part in (b.i_part, b.l_part):
+        for k in set(part):
+            m = part.count(k)
+            out = out * _f(k, p) ** m * factorial(m)
+    return out
+
+
 class TestGramBlocks:
-    """The zero pattern behind the block product in shapovalov_det, and the
-    product itself against full Bareiss on the whole Gram matrix."""
+    """The zero pattern and the triangular structure behind the product in
+    shapovalov_det, and the product itself against full Bareiss on the whole
+    Gram matrix."""
 
     @staticmethod
     def assert_zero_pattern(gram):
@@ -254,6 +283,36 @@ class TestGramBlocks:
     def test_zero_pattern_symbolic(self, n):
         self.assert_zero_pattern(gram_matrix(n, HWParams.symbolic()))
 
+    @staticmethod
+    def assert_triangular(gram, p):
+        """Rows sorted by I count, then in ascending canonical order; column j
+        is the colour swap of row j.  Every nonzero entry off the diagonal
+        lies above it, and the diagonal is the closed product."""
+        index = {b: i for i, b in enumerate(gram.basis)}
+        order = sorted(gram.basis, key=lambda b: (len(b.i_part), b))
+        for i, row in enumerate(order):
+            for j, partner in enumerate(order):
+                swapped = BasisMonomial(partner.l_part, partner.i_part)
+                x = gram.entries[index[row]][index[swapped]]
+                if i == j:
+                    assert x == _diagonal_entry(row, p), row
+                elif x:
+                    assert i < j, (row, swapped)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_triangular_rational(self, n):
+        for p in seeded_points(n, 2 if n < 6 else 1):
+            self.assert_triangular(gram_matrix(n, p), p)
+
+    def test_triangular_rational_level_seven(self):
+        p = seeded_points(7, 1)[0]
+        self.assert_triangular(gram_matrix(7, p), p)
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_triangular_symbolic(self, n):
+        p = HWParams.symbolic()
+        self.assert_triangular(gram_matrix(n, p), p)
+
     @pytest.mark.parametrize("n", range(5))
     def test_block_product_equals_full_bareiss_symbolic(self, n):
         p = HWParams.symbolic()
@@ -266,6 +325,11 @@ class TestGramBlocks:
         points = seeded_points(10 + n, 1) + (LOCUS_POINTS if n < 6 else [])
         for p in points:
             assert shapovalov_det(n, p) == linalg.det(gram_matrix(n, p).entries, p.ring)
+
+    @pytest.mark.parametrize("n", range(5, 8))
+    def test_symbolic_output_matches_recorded_digest(self, n):
+        text = str(shapovalov_det(n, HWParams.symbolic()))
+        assert hashlib.sha256(text.encode()).hexdigest() == SYMBOLIC_DET_SHA256[n]
 
     def test_symbolic_level_five_is_free_of_lambda_and_c(self):
         det = shapovalov_det(5, HWParams.symbolic())
