@@ -35,6 +35,7 @@ __all__ = [
     "I",
     "C",
     "C1",
+    "Combination",
     "LieElement",
     "bracket_gen",
     "bracket",
@@ -112,26 +113,45 @@ C = Generator("C")
 C1 = Generator("C1")
 
 
-class LieElement:
-    """A finite linear combination of generators with exact coefficients."""
+_ONE = 1
+
+
+def _accumulate(out: dict, pairs, factor) -> None:
+    """Add ``factor`` times the (key, coef) ``pairs`` into ``out``, dropping
+    zeros: the one accumulation loop of every linear combination.  A
+    coefficient or factor 1 is not multiplied out (CPython shares one int 1,
+    so ``is`` finds it): it is the coefficient of a PBW insertion that was
+    already normal, the most common case, and the factor of a sum."""
+    for key, coef in pairs:
+        s = out.get(key, 0) + (factor if coef is _ONE else coef if factor is _ONE else factor * coef)
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+
+
+class Combination:
+    """A finite linear combination with exact coefficients: ``terms`` maps
+    each key to its coefficient and holds no zero coefficient.  A
+    combination is never mutated, so a sum with a zero operand returns the
+    other operand itself.
+
+    Subclasses supply the printing order of the keys (``_sorted_keys``) and
+    how a key prints (``_format``); one whose constructor takes more than
+    the terms also supplies ``_with``."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for gen, coef in terms.items():
-                if coef:
-                    clean[gen] = coef
-        self.terms = clean
+        self.terms = {key: coef for key, coef in terms.items() if coef} if terms else {}
+
+    def _with(self, terms) -> "Combination":
+        """A combination of the same kind with the given terms."""
+        return type(self)(terms)
 
     @classmethod
-    def zero(cls) -> "LieElement":
+    def zero(cls):
         return cls()
-
-    @classmethod
-    def of(cls, gen: Generator, coef=1) -> "LieElement":
-        return cls({gen: coef})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -139,53 +159,65 @@ class LieElement:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def __add__(self, other: "LieElement") -> "LieElement":
+    def __add__(self, other):
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
-        for gen, coef in other.terms.items():
-            s = out.get(gen, 0) + coef
-            if s:
-                out[gen] = s
-            else:
-                out.pop(gen, None)
-        return LieElement(out)
+        _accumulate(out, other.terms.items(), _ONE)
+        return self._with(out)
 
-    def __neg__(self) -> "LieElement":
-        return LieElement({g: -c for g, c in self.terms.items()})
+    def __neg__(self):
+        return self._with({key: -coef for key, coef in self.terms.items()})
 
-    def __sub__(self, other: "LieElement") -> "LieElement":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __rmul__(self, scalar) -> "LieElement":
+    def __mul__(self, scalar):
         if not scalar:
-            return LieElement()
-        return LieElement({g: scalar * c for g, c in self.terms.items()})
+            return self._with(None)
+        return self._with({key: scalar * coef for key, coef in self.terms.items()})
 
-    __mul__ = __rmul__
+    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LieElement) and self.terms == other.terms
+        return type(other) is type(self) and self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
+    def _sorted_keys(self):
+        """The keys in printing order."""
+        return sorted(self.terms)
+
+    @staticmethod
+    def _format(key) -> str:
+        return str(key)
+
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        bits = []
-        for gen in sorted(self.terms):
-            coef = self.terms[gen]
-            bits.append(f"{coef}*{gen}")
-        return " + ".join(bits)
+        return " + ".join(f"{self.terms[key]}*{self._format(key)}" for key in self._sorted_keys())
 
     __repr__ = __str__
+
+
+class LieElement(Combination):
+    """A finite linear combination of generators with exact coefficients."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, gen: Generator, coef=1) -> "LieElement":
+        return cls({gen: coef})
 
 
 def _central_coeff(n: int) -> Fraction:
     return Fraction(n**3 - n, 12)
 
 
-@lru_cache(maxsize=None)
-def bracket_gen(a: Generator, b: Generator) -> LieElement:
+def _bracket_gen(a: Generator, b: Generator) -> LieElement:
     """The bracket of two basis symbols, in canonical form."""
     if a.kind in ("C", "C1") or b.kind in ("C", "C1"):
         return LieElement()
@@ -210,8 +242,12 @@ def bracket_gen(a: Generator, b: Generator) -> LieElement:
             if cc:
                 out[C1] = cc
         return LieElement(out)
-    # [I(n), L(m)] = -[L(m), I(n)]
-    return -bracket_gen(b, a)
+    # [I(n), L(m)] = -[L(m), I(n)], from the body itself, so that what the
+    # memo stores never depends on what the module name is bound to.
+    return -_bracket_gen(b, a)
+
+
+bracket_gen = lru_cache(maxsize=None)(_bracket_gen)
 
 
 def _terms(x):
@@ -229,8 +265,7 @@ def bracket(x, y) -> LieElement:
     y = _terms(y)
     for a, ca in _terms(x):
         for b, cb in y:
-            for g, c in bracket_gen(a, b).terms.items():
-                out[g] = out.get(g, 0) + ca * cb * c
+            _accumulate(out, bracket_gen(a, b).terms.items(), ca * cb)
     return LieElement(out)
 
 
@@ -241,11 +276,9 @@ def sigma(x) -> LieElement:
     It is an automorphism of the algebra (checked by the test suite on an
     index window) and exchanges raising and lowering modes.
     """
-    out = {}
-    for gen, coef in _terms(x):
-        image = Generator(gen.kind, -gen.index)  # central: index 0
-        out[image] = out.get(image, 0) - coef
-    return LieElement(out)
+    # A bijection on generators (central ones have index 0), so no two
+    # images collide.
+    return LieElement({Generator(g.kind, -g.index): -coef for g, coef in _terms(x)})
 
 
 def weight(g: Generator) -> int:

@@ -189,7 +189,7 @@ def _cmd_singular(args) -> tuple[int, str]:
     for sv in found:
         coeffs = {}
         for mono in basis:
-            coef = sv.vector.coords.get(mono)
+            coef = sv.vector.terms.get(mono)
             if coef:
                 coeffs[str(mono)] = QQ.format(coef)
         vectors.append({"coefficients": coeffs, "i0_eigenvector": sv.i0_eigenvector})

@@ -1,11 +1,12 @@
-"""Exact dense linear algebra over the engine's scalar domains.
+"""Exact dense linear algebra: rational kernels and the determinant oracle.
 
-Kernels are computed over the rationals by plain Gauss-Jordan elimination.
-:func:`det` is fraction-free Bareiss elimination, which only ever divides by
-earlier pivots; those divisions are exact in any integral domain, so it
-serves both the rational and the polynomial scalars.  No package code path
-calls it: ``verma.shapovalov_det`` is a closed product, and the tests use
-:func:`det` on the full Gram matrix as its independent oracle.
+:func:`nullspace` computes kernels over the rationals by plain Gauss-Jordan
+elimination.  :func:`det` is fraction-free Bareiss elimination, which only
+ever divides by earlier pivots; those divisions are exact in any integral
+domain, so it serves both the rational and the polynomial scalars.  No
+package code path calls it: ``verma.shapovalov_det`` is a closed product,
+and the tests use :func:`det` on the full Gram matrix as its independent
+oracle.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-__all__ = ["det", "nullspace", "identity_matrix", "mat_mul", "mat_sub", "is_zero_matrix"]
+__all__ = ["det", "nullspace"]
 
 
 def det(rows, ring):
@@ -91,29 +92,3 @@ def nullspace(rows, ncols):
             vec[col] = -m[row][free]
         basis.append(_normalize(vec))
     return basis
-
-
-def identity_matrix(n, ring):
-    return [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b):
-    n, k, mcols = len(a), len(b), len(b[0]) if b else 0
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(mcols):
-            s = 0
-            for t in range(k):
-                s = s + a[i][t] * b[t][j]
-            row.append(s)
-        out.append(row)
-    return out
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def is_zero_matrix(a) -> bool:
-    return all(not x for row in a for x in row)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from operator import le
 
-from .algebra import Generator, LieElement, bracket_gen
+from .algebra import _ONE, Combination, Generator, LieElement, _accumulate, bracket_gen
 
 __all__ = [
     "WORD_LIMIT",
@@ -42,88 +42,34 @@ WORD_LIMIT = 64
 
 Word = tuple
 
-_ONE = 1
-
 
 class WordLengthError(ValueError):
     """A word exceeded the configured length bound."""
 
 
-class UEElement:
+class UEElement(Combination):
     """A linear combination of normal-form words (an element of U)."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for word, coef in terms.items():
-                if coef:
-                    clean[word] = coef
-        self.terms = clean
-
-    @classmethod
-    def zero(cls) -> "UEElement":
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def one(cls) -> "UEElement":
         return cls({(): 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other: "UEElement") -> "UEElement":
-        out = dict(self.terms)
-        for word, coef in other.terms.items():
-            s = out.get(word, 0) + coef
-            if s:
-                out[word] = s
-            else:
-                out.pop(word, None)
-        return UEElement(out)
-
-    def __neg__(self) -> "UEElement":
-        return UEElement({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "UEElement") -> "UEElement":
-        return self + (-other)
-
-    def __rmul__(self, scalar) -> "UEElement":
-        if isinstance(scalar, UEElement):
-            return multiply(scalar, self)
-        if not scalar:
-            return UEElement()
-        return UEElement({w: scalar * c for w, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, UEElement):
             return multiply(self, other)
-        return self.__rmul__(other)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, UEElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return Combination.__mul__(self, other)
 
     def max_word_length(self) -> int:
         return max((len(w) for w in self.terms), default=0)
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for word in sorted(self.terms, key=lambda word: (len(word), word)):
-            coef = self.terms[word]
-            name = "".join(str(g) for g in word) if word else "1"
-            bits.append(f"{coef}*{name}")
-        return " + ".join(bits)
+    def _sorted_keys(self):
+        return sorted(self.terms, key=lambda word: (len(word), word))
 
-    __repr__ = __str__
+    @staticmethod
+    def _format(word) -> str:
+        return "".join(str(g) for g in word) if word else "1"
 
 
 def ue(x) -> UEElement:
@@ -135,19 +81,6 @@ def ue(x) -> UEElement:
     if isinstance(x, LieElement):
         return UEElement({(g,): c for g, c in x.terms.items()})
     return UEElement({(): x})
-
-
-def _accumulate(out: dict, pairs, factor) -> None:
-    """Add ``factor`` times the (key, coef) ``pairs`` into ``out``, dropping
-    zeros.  The coefficient 1 of an insertion that was already normal, the
-    most common case, is not multiplied out (CPython shares one int 1, so
-    ``is`` finds it)."""
-    for key, coef in pairs:
-        s = out.get(key, 0) + (factor if coef is _ONE else factor * coef)
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
 
 
 def _insert(g: Generator, word: Word, memo: dict) -> tuple:

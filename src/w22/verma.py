@@ -25,8 +25,8 @@ from math import factorial, isqrt
 from typing import NamedTuple, Optional
 
 from . import linalg
-from .algebra import Generator, I, L, LieElement, bracket_gen
-from .pbw import _accumulate, normal_order
+from .algebra import Combination, Generator, I, L, LieElement, _accumulate, bracket_gen
+from .pbw import normal_order
 from .scalars import PARAM_POLYS, QQ
 
 __all__ = [
@@ -161,74 +161,32 @@ def level_basis(n: int, max_level: int = DEFAULT_MAX_LEVEL):
     return sorted(partition_pairs(n), reverse=True)
 
 
-class VermaVector:
-    """A homogeneous element of one level, as coordinates over the basis."""
+class VermaVector(Combination):
+    """A homogeneous element of one level, as coordinates over the basis.
 
-    __slots__ = ("level", "coords")
+    The monomials fix the level, so equality and hash read only ``terms``;
+    ``level`` places a zero vector."""
 
-    def __init__(self, level: int, coords=None):
-        clean = {}
-        if coords:
-            for mono, coef in coords.items():
-                if coef:
-                    clean[mono] = coef
+    __slots__ = ("level",)
+
+    def __init__(self, level: int, terms=None):
+        super().__init__(terms)
         self.level = level
-        self.coords = clean
 
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def __bool__(self) -> bool:
-        return bool(self.coords)
+    def _with(self, terms) -> "VermaVector":
+        return VermaVector(self.level, terms)
 
     def __add__(self, other: "VermaVector") -> "VermaVector":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.level != other.level:
+        if self.terms and other.terms and self.level != other.level:
             raise ValueError("cannot add vectors of different levels")
-        out = dict(self.coords)
-        for mono, coef in other.coords.items():
-            s = out.get(mono, 0) + coef
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        return VermaVector(self.level, out)
+        return Combination.__add__(self, other)
 
-    def __neg__(self) -> "VermaVector":
-        return VermaVector(self.level, {m: -c for m, c in self.coords.items()})
+    def _sorted_keys(self):
+        return sorted(self.terms, reverse=True)
 
-    def __sub__(self, other: "VermaVector") -> "VermaVector":
-        return self + (-other)
-
-    def __rmul__(self, scalar) -> "VermaVector":
-        if not scalar:
-            return VermaVector(self.level)
-        return VermaVector(self.level, {m: scalar * c for m, c in self.coords.items()})
-
-    __mul__ = __rmul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VermaVector):
-            return NotImplemented
-        if not self.coords and not other.coords:
-            return True
-        return self.level == other.level and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((self.level, frozenset(self.coords.items())))
-
-    def __str__(self) -> str:
-        if not self.coords:
-            return "0"
-        bits = []
-        for mono in sorted(self.coords, reverse=True):
-            bits.append(f"{self.coords[mono]}*[{mono}]v")
-        return " + ".join(bits)
-
-    __repr__ = __str__
+    @staticmethod
+    def _format(mono) -> str:
+        return f"[{mono}]v"
 
 
 def highest_weight_vector() -> VermaVector:
@@ -271,7 +229,7 @@ def act(g: Generator, w: VermaVector, p: HWParams) -> VermaVector:
     """The module action of one generator on a homogeneous vector."""
     new_level = w.level - g.weight
     out = {}
-    for mono, coef in w.coords.items():
+    for mono, coef in w.terms.items():
         _accumulate(out, _act_on_monomial(g, mono, p), coef)
     return VermaVector(max(new_level, 0), out)
 
@@ -320,7 +278,7 @@ def _pairing(row_mono: BasisMonomial, col_vec: VermaVector, p: HWParams):
     vec = col_vec
     for g in row_mono.word():
         vec = act(Generator(g.kind, -g.index), vec, p)
-    value = vec.coords.get(EMPTY_MONOMIAL, None)
+    value = vec.terms.get(EMPTY_MONOMIAL, None)
     return value if value is not None else p.ring.zero
 
 
@@ -423,7 +381,7 @@ def _action_rows(g: Generator, n: int, p: HWParams, max_level: int):
     for b in src:
         vec = act(g, VermaVector(n, {b: Fraction(1)}), p)
         col = [p.ring.zero] * len(tgt)
-        for mono, coef in vec.coords.items():
+        for mono, coef in vec.terms.items():
             col[index[mono]] = coef
         columns.append(col)
     return [[columns[j][i] for j in range(len(src))] for i in range(len(tgt))]
@@ -453,7 +411,7 @@ def singular_vectors(
     kernel = linalg.nullspace(rows, len(basis))
     out = []
     for vec in kernel:
-        w = VermaVector(n, {b: coef for b, coef in zip(basis, vec) if coef})
+        w = VermaVector(n, dict(zip(basis, vec)))
         eigen = act(I(0), w, p) == p.c0 * w
         out.append(SingularVector(vector=w, i0_eigenvector=eigen))
     return out
@@ -503,16 +461,18 @@ class I0Report:
 
 def i0_matrix(n: int, p: HWParams, max_level: int = DEFAULT_MAX_LEVEL) -> I0Report:
     """Matrix of I(0) on level n plus verification that I(0) - c0 is
-    nilpotent of degree at most n + 1 (and not diagonalizable for n >= 1)."""
+    nilpotent of degree at most n + 1 (and not diagonalizable for n >= 1).
+
+    The degree is the first e at which applying ``w -> I(0) w - c0 w`` e
+    times sends every basis vector to zero.  Since I(0) - c0 is nilpotent,
+    I(0) is diagonalizable exactly when that degree is 1."""
     entries = _action_rows(I(0), n, p, max_level)
     basis = level_basis(n, max_level)
-    dim = len(basis)
-    shifted = linalg.mat_sub(entries, [[p.c0 if i == j else p.ring.zero for j in range(dim)] for i in range(dim)])
+    vectors = [VermaVector(n, {b: 1}) for b in basis]
     degree = None
-    power = linalg.identity_matrix(dim, p.ring)
     for e in range(1, n + 2):
-        power = linalg.mat_mul(power, shifted)
-        if linalg.is_zero_matrix(power):
+        vectors = [w for w in (act(I(0), w, p) - p.c0 * w for w in vectors) if w]
+        if not vectors:
             degree = e
             break
     return I0Report(
@@ -521,7 +481,7 @@ def i0_matrix(n: int, p: HWParams, max_level: int = DEFAULT_MAX_LEVEL) -> I0Repo
         entries=entries,
         nilpotency_degree=degree,
         nilpotent_within_bound=degree is not None,
-        diagonalizable=linalg.is_zero_matrix(shifted),
+        diagonalizable=degree == 1,
     )
 
 

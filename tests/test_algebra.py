@@ -57,6 +57,16 @@ class TestBracket:
             for b in window:
                 assert (bracket_gen(a, b) + bracket_gen(b, a)).is_zero()
 
+    def test_memo_ignores_a_patched_module_name(self, monkeypatch):
+        # The [I, L] case is the negated [L, I] case; while the module name
+        # is patched, the memo must still store the true bracket.
+        bracket_gen.cache_clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(algebra, "bracket_gen", lambda a, b: LieElement())
+            bracket_gen(I(-2), L(2))
+        assert bracket_gen(I(-2), L(2)) == -bracket_gen(L(2), I(-2))
+        assert bracket_gen(I(-2), L(2))
+
 
 class TestJacobi:
     def test_report_is_clean(self):
@@ -67,9 +77,7 @@ class TestJacobi:
 
     def test_rotation_classes_report_every_ordered_triple(self, monkeypatch):
         # [L(m), I(-m)] gains C1 for every m, and [I(-m), L(m)] loses it:
-        # skew, but not a 2-cocycle.  The [I, L] case never reaches the
-        # memoised bracket_gen, whose own [I, L] case would call the patched
-        # name and cache the result.
+        # skew, but not a 2-cocycle.
         true_bracket_gen = algebra.bracket_gen
 
         def skewed(a, b):

@@ -185,6 +185,19 @@ class TestRecordedOutputs:
         }
         assert out == json.dumps(expected) + "\n"
 
+    @pytest.mark.parametrize(
+        "level, digest",
+        [
+            (5, "fd8b6a6d82f6b5ecc00fc4ecb78358e651566dfa77021d7843624e7cfcb3f0eb"),
+            (6, "b5629936e6ef277054cc2726844dd9159e8c69842568930d7139e7c33dbd460c"),
+        ],
+    )
+    def test_i0_report(self, capsys, level, digest):
+        # Recorded from the dense matrix-power Jordan check.
+        code, out, _ = run(capsys, "i0", "--level", str(level), *_point("2", "1", "2/3", "-5"))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestRoundTrip:
     def test_symbolic_matrix_entries_reparse(self, capsys):

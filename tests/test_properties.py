@@ -1,8 +1,10 @@
 """Hypothesis properties: the memoised rewriting kernel against the naive
 rewriter, the omega anti-involution, exactness of every coefficient (int or
-Fraction, never float or bool), the closed-form determinant against Bareiss
-on the full Gram matrix, the first degenerate level against the
-irreducibility criterion, and the Poly ring."""
+Fraction, never float or bool), the linear-combination axioms of Lie
+elements, U elements and Verma vectors, the symmetry of the Gram matrix,
+the closed-form determinant against Bareiss on the full Gram matrix, the
+first degenerate level against the irreducibility criterion, and the Poly
+ring."""
 
 from fractions import Fraction
 
@@ -81,23 +83,49 @@ def test_rewriting_coefficients_are_exact(word, u, v, x, y):
     assert_exact(bracket(x, y).terms.values())
 
 
+def verma_vectors(n):
+    return st.dictionaries(st.sampled_from(level_basis(n)), rationals).map(lambda d: VermaVector(n, d))
+
+
 @derandomized
-@given(
-    st.tuples(rationals, rationals, rationals, rationals),
-    generators,
-    st.integers(0, 3).flatmap(
-        lambda n: st.tuples(st.just(n), st.dictionaries(st.sampled_from(level_basis(n)), rationals))
-    ),
-)
+@given(st.tuples(rationals, rationals, rationals, rationals), generators, st.integers(0, 3).flatmap(verma_vectors))
 def test_module_action_coefficients_are_exact(point, g, vector):
-    p = HWParams.rational(*point)
-    level, coords = vector
-    assert_exact(act(g, VermaVector(level, coords), p).coords.values())
+    assert_exact(act(g, vector, HWParams.rational(*point)).terms.values())
+
+
+# -- linear combinations ----------------------------------------------------
+
+combination_triples = (
+    st.tuples(lie_elements, lie_elements, lie_elements)
+    | st.tuples(ue_elements(), ue_elements(), ue_elements())
+    | st.integers(0, 3).flatmap(lambda n: st.tuples(*[verma_vectors(n)] * 3))
+)
+
+
+@derandomized
+@given(combination_triples, rationals, rationals)
+def test_combination_axioms(abc, s, t):
+    a, b, c = abc
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+    assert (a - a).is_zero() and not a - a
+    assert a - b == a + (-b)
+    assert s * (a + b) == s * a + s * b
+    assert (s + t) * a == s * a + t * a
+    assert a * s == s * a
+    for x, y in ((a + b, b + a), ((a - b) + b, a), (0 * a, a - a)):
+        assert x == y and hash(x) == hash(y)
 
 
 # -- the forms layer --------------------------------------------------------
 
 points = st.tuples(rationals, rationals, rationals, rationals).map(lambda t: HWParams.rational(*t))
+
+
+@derandomized_short
+@given(st.integers(0, 4), points)
+def test_gram_matrix_is_symmetric(n, p):
+    assert gram_matrix(n, p).is_symmetric()
 
 
 @settings(derandomize=True, max_examples=10, deadline=None)

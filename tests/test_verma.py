@@ -134,6 +134,13 @@ class TestLevelBasis:
         assert str(mono((2, 1), (3,))) == "I(-2)I(-1)L(-3)"
 
 
+class TestVermaVector:
+    def test_equal_zero_vectors_hash_alike(self):
+        assert VermaVector(1) == VermaVector(2)
+        assert hash(VermaVector(1)) == hash(VermaVector(2))
+        assert len({VermaVector(1), VermaVector(2)}) == 1
+
+
 class TestAction:
     def setup_method(self):
         self.p = HWParams.symbolic()
@@ -189,7 +196,7 @@ class TestAction:
                     if target < 0:
                         assert w.is_zero()
                     else:
-                        assert all(m.level() == target for m in w.coords)
+                        assert all(m.level() == target for m in w.terms)
 
     def test_representation_property_window(self):
         p = HWParams.rational(Fraction(1, 2), 3, Fraction(-2, 3), 5)
@@ -405,7 +412,7 @@ class TestSingularVectors:
             for n in range(1, 4):
                 gram = gram_matrix(n, p)
                 for sv in singular_vectors(n, p):
-                    coords = [sv.vector.coords.get(b, Fraction(0)) for b in gram.basis]
+                    coords = [sv.vector.terms.get(b, Fraction(0)) for b in gram.basis]
                     for row in gram.entries:
                         assert sum(r * x for r, x in zip(row, coords)) == 0
 
@@ -486,6 +493,38 @@ class TestI0Jordan:
         assert rep.nilpotent_within_bound
         assert rep.nilpotency_degree == n + 1
         assert not rep.diagonalizable
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_degree_matches_dense_powers_rational(self, n):
+        for p in seeded_points(40, 3):
+            self.check_against_dense_powers(n, p)
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_degree_matches_dense_powers_symbolic(self, n):
+        self.check_against_dense_powers(n, HWParams.symbolic())
+
+    @staticmethod
+    def check_against_dense_powers(n, p):
+        rep = i0_matrix(n, p)
+        degree = dense_nilpotency_degree(rep.entries, p.c0, p.ring, n + 1)
+        assert rep.nilpotency_degree == degree
+        assert rep.diagonalizable == (degree == 1)
+
+
+def dense_nilpotency_degree(entries, c0, ring, bound):
+    """The smallest e <= bound with (entries - c0)^e = 0, by dense matrix
+    powers: the reference for the operator-applying i0_matrix."""
+    dim = len(entries)
+    shifted = [[x - c0 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(entries)]
+    power = shifted
+    for e in range(1, bound + 1):
+        if not any(x for row in power for x in row):
+            return e
+        power = [
+            [sum((row[t] * shifted[t][j] for t in range(dim)), ring.zero) for j in range(dim)]
+            for row in power
+        ]
+    return None
 
 
 class TestFirstDegenerateLevel:
