@@ -27,6 +27,8 @@ from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 
+from .scalars import Poly
+
 __all__ = [
     "INDEX_LIMIT",
     "IndexLimitError",
@@ -134,7 +136,7 @@ class Combination:
     """A finite linear combination with exact coefficients: ``terms`` maps
     each key to its coefficient and holds no zero coefficient.  A
     combination is never mutated, so a sum with a zero operand returns the
-    other operand itself.
+    other operand itself.  A scalar is an ``int``, ``Fraction`` or ``Poly``.
 
     Subclasses supply the printing order of the keys (``_sorted_keys``) and
     how a key prints (``_format``); one whose constructor takes more than
@@ -175,6 +177,8 @@ class Combination:
         return self + (-other)
 
     def __mul__(self, scalar):
+        if not isinstance(scalar, (int, Fraction, Poly)):
+            return NotImplemented
         if not scalar:
             return self._with(None)
         return self._with({key: scalar * coef for key, coef in self.terms.items()})
@@ -327,13 +331,12 @@ def jacobi_report(max_index: int) -> JacobiReport:
         a, b, c = window[i], window[j], window[k]
         least = min(t, (j, k, i), (k, i, j))
         if least == t:
-            s = (
-                bracket(a, bracket_gen(b, c))
-                + bracket(b, bracket_gen(c, a))
-                + bracket(c, bracket_gen(a, b))
-            )
+            s = {}
+            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                for g, coef in bracket_gen(y, z).terms.items():
+                    _accumulate(s, bracket_gen(x, g).terms.items(), coef)
             if s:
-                nonzero[t] = str(s)
+                nonzero[t] = str(LieElement(s))
         report.triples_checked += 1
         if least in nonzero:
             report.violations.append((str(a), str(b), str(c), nonzero[least]))

@@ -1,6 +1,6 @@
-"""Exact dense linear algebra: rational kernels and the determinant oracle.
+"""Exact linear algebra: a sparse rational kernel and the determinant oracle.
 
-:func:`nullspace` computes kernels over the rationals by plain Gauss-Jordan
+:func:`nullspace` computes kernels over the rationals by sparse column
 elimination.  :func:`det` is fraction-free Bareiss elimination, which only
 ever divides by earlier pivots; those divisions are exact in any integral
 domain, so it serves both the rational and the polynomial scalars.  No
@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+
+from .algebra import _accumulate
 
 __all__ = ["det", "nullspace"]
 
@@ -59,36 +61,29 @@ def _normalize(vec):
     return [Fraction(v) for v in ints]
 
 
-def nullspace(rows, ncols):
-    """Basis of the exact kernel of a rational matrix, one normalized vector
-    per free column, in ascending free-column order."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(m)
-    pivots = []  # (row, col)
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == nrows:
-            break
-    pivot_cols = {col for _, col in pivots}
+def nullspace(columns):
+    """Basis of the exact kernel of the matrix whose columns are the sparse
+    dicts ``key -> nonzero coefficient``, as from the reduced row echelon
+    form: one normalized vector per column that depends on the earlier ones.
+    Each independent column is kept scaled to 1 at its pivot, its least key,
+    with the combination of columns it stands for.  A new column is reduced
+    at its least key while that key is a pivot; what is left is zero or
+    independent."""
+    pivots = {}  # least key -> (reduced column, its combination of columns)
     basis = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for row, col in pivots:
-            vec[col] = -m[row][free]
-        basis.append(_normalize(vec))
+    for j, column in enumerate(columns):
+        vec = dict(column)
+        combo = {j: Fraction(1)}
+        while vec:
+            key = min(vec)
+            if key not in pivots:
+                inv = 1 / Fraction(vec[key])
+                pivots[key] = ({k: c * inv for k, c in vec.items()}, {i: c * inv for i, c in combo.items()})
+                break
+            reduced, origin = pivots[key]
+            factor = -vec[key]
+            _accumulate(vec, reduced.items(), factor)
+            _accumulate(combo, origin.items(), factor)
+        else:
+            basis.append(_normalize([combo.get(i, 0) for i in range(len(columns))]))
     return basis

@@ -369,24 +369,6 @@ class SingularVector:
     i0_eigenvector: bool
 
 
-def _action_rows(g: Generator, n: int, p: HWParams, max_level: int):
-    """Rows of the matrix of act(g): level n -> level n - weight(g)."""
-    src = level_basis(n, max_level)
-    tgt_level = n - g.weight
-    if tgt_level < 0:
-        return []
-    tgt = level_basis(tgt_level, max_level)
-    index = {b: i for i, b in enumerate(tgt)}
-    columns = []
-    for b in src:
-        vec = act(g, VermaVector(n, {b: Fraction(1)}), p)
-        col = [p.ring.zero] * len(tgt)
-        for mono, coef in vec.terms.items():
-            col[index[mono]] = coef
-        columns.append(col)
-    return [[columns[j][i] for j in range(len(src))] for i in range(len(tgt))]
-
-
 def singular_vectors(
     n: int, p: HWParams, max_level: int = DEFAULT_MAX_LEVEL
 ) -> list[SingularVector]:
@@ -397,7 +379,9 @@ def singular_vectors(
     A singular vector w lies in the radical of the contravariant form, since
     ``<x v, w> = <v, omega(x) w> = 0`` for every x in U(n-) of degree n
     (omega(x) is a sum of positive-mode words).  So where the determinant is
-    nonzero the result is ``[]``, found without any elimination."""
+    nonzero the result is ``[]``, found without any elimination.  Elsewhere
+    it is the :func:`linalg.nullspace` of the images of the basis monomials,
+    one sparse column each, keyed by (generator, target monomial)."""
     if n < 1:
         raise ValueError("singular vectors live at positive levels")
     if not p.ring.is_field:
@@ -405,10 +389,10 @@ def singular_vectors(
     if shapovalov_det(n, p, max_level):
         return []
     basis = level_basis(n, max_level)
-    rows = []
-    for g in (L(1), L(2), I(1), I(2)):
-        rows.extend(_action_rows(g, n, p, max_level))
-    kernel = linalg.nullspace(rows, len(basis))
+    units = [VermaVector(n, {b: Fraction(1)}) for b in basis]
+    gens = (L(1), L(2), I(1), I(2))
+    columns = [{(g, m): c for g in gens for m, c in act(g, u, p).terms.items()} for u in units]
+    kernel = linalg.nullspace(columns)
     out = []
     for vec in kernel:
         w = VermaVector(n, dict(zip(basis, vec)))
@@ -466,8 +450,11 @@ def i0_matrix(n: int, p: HWParams, max_level: int = DEFAULT_MAX_LEVEL) -> I0Repo
     The degree is the first e at which applying ``w -> I(0) w - c0 w`` e
     times sends every basis vector to zero.  Since I(0) - c0 is nilpotent,
     I(0) is diagonalizable exactly when that degree is 1."""
-    entries = _action_rows(I(0), n, p, max_level)
     basis = level_basis(n, max_level)
+    # Fraction units keep every entry a Fraction; int ones would leave the
+    # int structure constants in the reported matrix.
+    images = [act(I(0), VermaVector(n, {b: Fraction(1)}), p) for b in basis]
+    entries = [[w.terms.get(b, p.ring.zero) for w in images] for b in basis]
     vectors = [VermaVector(n, {b: 1}) for b in basis]
     degree = None
     for e in range(1, n + 2):

@@ -21,6 +21,9 @@ from w22.algebra import (
     sigma,
     weight,
 )
+from w22.pbw import multiply, ue
+from w22.scalars import PARAM_POLYS
+from w22.verma import highest_weight_vector
 
 
 def lie(*pairs):
@@ -110,6 +113,34 @@ class TestJacobi:
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
             jacobi_report(0)
+
+
+class TestScalarMultiplication:
+    """Only exact scalars (int, Fraction, Poly) multiply a combination."""
+
+    ELEMENTS = [LieElement.of(L(1)), ue(L(1)), highest_weight_vector()]
+
+    @pytest.mark.parametrize("scalar", [2.5, 0.5, 1j, None, "2"])
+    def test_inexact_scalars_are_rejected(self, scalar):
+        for x in self.ELEMENTS:
+            with pytest.raises(TypeError):
+                scalar * x
+            with pytest.raises(TypeError):
+                x * scalar
+
+    def test_lie_element_times_combination_is_rejected(self):
+        x = LieElement.of(L(1))
+        for y in (LieElement.of(L(2)), ue(L(2))):
+            with pytest.raises(TypeError):
+                x * y
+            with pytest.raises(TypeError):
+                y * x
+
+    def test_exact_scalars_and_ue_products(self):
+        for x in self.ELEMENTS:
+            assert 2 * x == x + x == x * Fraction(2)
+            assert str(PARAM_POLYS.c0 * x) == str(x * PARAM_POLYS.c0)
+        assert ue(L(1)) * ue(L(2)) == multiply(ue(L(1)), ue(L(2)))
 
 
 class TestSigma:

@@ -186,6 +186,20 @@ class TestRecordedOutputs:
         assert out == json.dumps(expected) + "\n"
 
     @pytest.mark.parametrize(
+        "point, digest",
+        [
+            (M2_POINT, "4d1def1ea2f0e5dea1ddb49a88416fe1c6e0016db70d678bf7825e5a6a4a8ce4"),
+            (M5_POINT, "95099908c4cf8cde266508df511276690bc1404a192bb9ec1f1112626262c1d9"),
+            (("--lam=-9/4", "--c", "0", "--c0", "1", "--c1", "8"), "4d1def1ea2f0e5dea1ddb49a88416fe1c6e0016db70d678bf7825e5a6a4a8ce4"),
+        ],
+    )
+    def test_singular_vectors_at_level_eight(self, capsys, point, digest):
+        # Recorded from dense Gauss-Jordan on the stacked action matrices.
+        code, out, _ = run(capsys, "singular", "--level", "8", *point)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
         "level, digest",
         [
             (5, "fd8b6a6d82f6b5ecc00fc4ecb78358e651566dfa77021d7843624e7cfcb3f0eb"),

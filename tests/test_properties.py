@@ -3,13 +3,14 @@ rewriter, the omega anti-involution, exactness of every coefficient (int or
 Fraction, never float or bool), the linear-combination axioms of Lie
 elements, U elements and Verma vectors, the symmetry of the Gram matrix,
 the closed-form determinant against Bareiss on the full Gram matrix, the
-first degenerate level against the irreducibility criterion, and the Poly
-ring."""
+first degenerate level against the irreducibility criterion, the sparse
+kernel against dense Gauss-Jordan, and the Poly ring."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from dense_kernel import dense_nullspace
 from naive_rewriter import naive_normal_order
 from w22 import linalg
 from w22.algebra import LieElement, bracket, generator_window
@@ -150,6 +151,39 @@ def test_first_degenerate_level_is_the_criterion_witness(c0c1, top):
     _, witness = is_reducible(c0, c1)
     expected = witness if witness is not None and witness <= top else None
     assert first_degenerate_level(HWParams.rational(0, 0, c0, c1), top) == expected
+
+
+@st.composite
+def dependent_columns(draw):
+    """Up to 8 rational columns of height up to 8, each new or a zero,
+    repeated, scaled or summed copy of earlier ones."""
+    height = draw(st.integers(0, 8))
+    columns = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["new", "zero", "repeat", "scale", "sum"])) if columns else "new"
+        if kind == "new":
+            col = draw(st.lists(rationals, min_size=height, max_size=height))
+        elif kind == "zero":
+            col = [0] * height
+        elif kind == "repeat":
+            col = list(draw(st.sampled_from(columns)))
+        elif kind == "scale":
+            s = draw(rationals)
+            col = [s * x for x in draw(st.sampled_from(columns))]
+        else:
+            a, b = draw(st.sampled_from(columns)), draw(st.sampled_from(columns))
+            col = [x + y for x, y in zip(a, b)]
+        columns.append(col)
+    return height, columns
+
+
+@derandomized
+@given(dependent_columns())
+def test_sparse_nullspace_matches_dense_gauss_jordan(matrix):
+    height, columns = matrix
+    rows = [[col[i] for col in columns] for i in range(height)]
+    sparse = [{i: x for i, x in enumerate(col) if x} for col in columns]
+    assert linalg.nullspace(sparse) == dense_nullspace(rows, len(columns))
 
 
 # -- the Poly ring ----------------------------------------------------------

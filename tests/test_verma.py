@@ -25,8 +25,9 @@ from w22.verma import (
     level_basis,
     shapovalov_det,
     singular_vectors,
-    _action_rows,
 )
+
+from dense_kernel import action_rows, dense_nullspace
 
 LAM, CC, C0, C1V = PARAM_POLYS.lam, PARAM_POLYS.c, PARAM_POLYS.c0, PARAM_POLYS.c1
 
@@ -47,6 +48,19 @@ LOCUS_POINTS = [
     HWParams.rational(2, 1, 1, 3),
     HWParams.rational(Fraction(1, 2), -3, 5, 8),
     HWParams.rational(2, 1, 1, 1),
+]
+
+
+# Degenerate points with more than the I-only singular vectors: the
+# lambda_{m,1} Jordan partners at m = 2 and m = 3, the m = 1 locus at
+# lambda = 0 and 1, and the plane c0 = c1 = 0, where every f(k) vanishes.
+EXCEPTIONAL_POINTS = [
+    HWParams.rational(Fraction(-9, 4), 0, 1, 8),
+    HWParams.rational(Fraction(-20, 3), 0, 1, 3),
+    HWParams.rational(0, 1, 0, 1),
+    HWParams.rational(1, 1, 0, 1),
+    HWParams.rational(2, 1, 0, 0),
+    HWParams.rational(Fraction(-1, 16), Fraction(1, 2), 0, 0),
 ]
 
 
@@ -426,17 +440,24 @@ class TestSingularVectors:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_radical_first_exit_matches_explicit_kernel(self, n):
-        # The loci m = n - 1, n (degenerate) and m = n + 1 (not yet).
-        for p in seeded_points(20 + n, 1) + LOCUS_POINTS[max(n - 2, 0):n + 1]:
-            basis = level_basis(n)
-            rows = []
-            for g in (L(1), L(2), I(1), I(2)):
-                rows.extend(_action_rows(g, n, p, DEFAULT_MAX_LEVEL))
-            kernel = [
-                VermaVector(n, dict(zip(basis, v)))
-                for v in linalg.nullspace(rows, len(basis))
-            ]
-            assert [s.vector for s in singular_vectors(n, p)] == kernel
+        # The loci m = n - 1, n (degenerate) and m = n + 1 (not yet), and
+        # the points with more than the I-only singular vectors.
+        points = seeded_points(20 + n, 1) + LOCUS_POINTS[max(n - 2, 0):n + 1]
+        for p in points + EXCEPTIONAL_POINTS:
+            self.check_against_dense_kernel(n, p)
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_level_six_matches_explicit_kernel(self, k):
+        self.check_against_dense_kernel(6, EXCEPTIONAL_POINTS[k])
+
+    @staticmethod
+    def check_against_dense_kernel(n, p):
+        basis = level_basis(n)
+        rows = []
+        for g in (L(1), L(2), I(1), I(2)):
+            rows.extend(action_rows(g, n, p, DEFAULT_MAX_LEVEL))
+        kernel = [VermaVector(n, dict(zip(basis, v))) for v in dense_nullspace(rows, len(basis))]
+        assert [s.vector for s in singular_vectors(n, p)] == kernel
 
     def test_requires_rational_parameters(self):
         with pytest.raises(TypeError):
