@@ -50,6 +50,23 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+#: The options that take an exact rational.
+_RATIONAL_OPTIONS = frozenset({"--lam", "--c", "--c0", "--c1"})
+
+
+def _join_negative_rationals(argv: list[str]) -> list[str]:
+    """Write ``--c0 -1/2`` as ``--c0=-1/2``: argparse reads a separate value
+    that starts with ``-`` as an option name unless it is a negative
+    decimal, so a negative fraction would be refused."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _RATIONAL_OPTIONS and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _add_param_args(sub) -> None:
     sub.add_argument("--lam", type=_rational, default=Fraction(0), help="highest weight (exact rational)")
     sub.add_argument("--c", type=_rational, default=Fraction(0), help="C central charge")
@@ -352,7 +369,7 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_rationals(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

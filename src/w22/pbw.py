@@ -2,13 +2,25 @@
 
 Monomials are words in the generators; a word is in normal form when it is
 nondecreasing in the canonical order ``C < C1 < I(n) (asc) < L(n) (asc)``.
-With this order the I modes, which commute among themselves, collect into a
-block before the L modes, which keeps module actions cheap.
+So a normal word is a block ``P`` of commuting letters (``C``, ``C1``,
+``I``) followed by a Virasoro word ``W`` of ``L`` letters: the ``I(n)`` span
+an abelian ideal, and ``[L(n), I(m)]`` lies in ``span{I, C1}``.
 
-All rewriting goes through one kernel, the insertion of a generator g into a
-normal word ``h t``: ``g h t`` is normal when ``g <= h``, and otherwise
-``g h t = h (g t) + [g, h] t``, two insertions into shorter normal words.
-Insertions are memoised on (generator, word) for the length of one call.
+All rewriting goes through one kernel, the insertion of a generator ``g``
+into a normal word ``P W``.  It takes one of three cases:
+
+* ``g`` is ``C``, ``C1`` or ``I(k)``: it commutes with every letter of ``P``
+  and precedes every ``L``, so it is placed into ``P`` by sorted insertion.
+* ``g = L(k)`` and ``P`` is not empty: ``ad g`` is a derivation that maps
+  ``P``'s letters into the abelian block, so ``g P W = P (g W) + sum over
+  the letters p of P of (P with p replaced by [g, p]) W``.  Each ``[g, p]``
+  is placed by sorted insertion; only ``g W`` is rewritten further.
+* ``g = L(k)`` and ``P`` is empty: ``g h t`` is normal when ``g <= h``, and
+  otherwise ``g h t = h (g t) + [g, h] t``, two insertions into shorter
+  words.  These insertions are memoised on (generator, Virasoro word) for
+  the length of one call, so a Virasoro word is rewritten once however many
+  blocks ``P`` stand before it.
+
 Rewriting terminates and the normal form is unique (PBW), so the order in
 which inversions are rewritten does not matter.
 
@@ -22,9 +34,22 @@ scalars inside the Verma machinery.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable
 from operator import le
 
-from .algebra import _ONE, Combination, Generator, LieElement, _accumulate, bracket_gen
+from .algebra import (
+    _ONE,
+    C,
+    C1,
+    INDEX_LIMIT,
+    Combination,
+    Generator,
+    L,
+    LieElement,
+    _accumulate,
+    bracket_gen,
+)
 
 __all__ = [
     "WORD_LIMIT",
@@ -41,6 +66,9 @@ __all__ = [
 WORD_LIMIT = 64
 
 Word = tuple
+
+# The least L letter: every C, C1 and I letter sorts before it.
+_FIRST_L = L(-INDEX_LIMIT)
 
 
 class WordLengthError(ValueError):
@@ -83,10 +111,42 @@ def ue(x) -> UEElement:
     return UEElement({(): x})
 
 
-def _insert(g: Generator, word: Word, memo: dict) -> tuple:
-    """``g`` times the normal word ``word``, as (normal word, coef) pairs."""
+def _insert(g: Generator, word: Word, memo: dict) -> Iterable:
+    """``g`` times the normal word ``word``, as (normal word, coef) pairs.
+
+    With ``word = P W`` (``P`` the letters before the first ``L``):
+
+    * ``g`` in ``C``, ``C1``, ``I``: one word, ``g`` placed into ``P``,
+      because the I modes commute and ``C``, ``C1`` are central.
+    * ``g = L(k)``, ``P`` not empty: ``P (g W)`` plus, for each ``I(j)`` in
+      ``P`` (times its multiplicity), ``P`` with one ``I(j)`` replaced by
+      ``[L(k), I(j)]``, followed by ``W``, because ``ad L(k)`` is a
+      derivation into the commuting block.
+    * ``g = L(k)``, ``P`` empty: ``g h t = h (g t) + [g, h] t``, memoised.
+    """
     if not word or g <= word[0]:
         return (((g,) + word, _ONE),)
+    if g < _FIRST_L:
+        i = bisect_right(word, g)
+        return ((word[:i] + (g,) + word[i:], _ONE),)
+    if word[0] < _FIRST_L:
+        p = bisect_left(word, _FIRST_L)
+        prefix, block = word[:p], word[p:]
+        out = {}
+        # The central terms of g W bring C letters; they go before P.
+        for w, c in _insert(g, block, memo):
+            a = bisect_right(w, C)
+            out[w[:a] + prefix + w[a:]] = c
+        i = bisect_right(prefix, C1)
+        while i < p:
+            h = prefix[i]
+            j = bisect_right(prefix, h, i)
+            rest = prefix[:i] + prefix[i + 1:]
+            for gen, bc in bracket_gen(g, h).terms.items():
+                k = bisect_right(rest, gen)
+                _accumulate(out, ((rest[:k] + (gen,) + rest[k:] + block, bc),), j - i)
+            i = j
+        return out.items()
     key = (g, word)
     hit = memo.get(key)
     if hit is None:

@@ -245,6 +245,25 @@ class TestRoundTrip:
         assert payload["det"] == "-9/4"
         assert QQ.parse(payload["det"]) == Fraction(-9, 4)
 
+    @pytest.mark.parametrize(
+        "command, option",
+        [("gram", "--lam"), ("gram", "--c"), ("gram", "--c0"), ("gram", "--c1"),
+         ("criterion", "--c0"), ("criterion", "--c1")],
+    )
+    def test_negative_fraction_as_separate_argument(self, capsys, command, option):
+        if command == "gram":
+            values = {"--lam": "2", "--c": "1/3", "--c0": "5", "--c1": "7"}
+            head = ["gram", "--level", "2"]
+        else:
+            values = {"--c0": "1", "--c1": "3"}
+            head = ["criterion"]
+        values[option] = "-1/2"
+        joined = [f"{opt}={value}" for opt, value in values.items()]
+        separate = [part for opt, value in values.items() for part in (opt, value)]
+        code, out, _ = run(capsys, *head, *separate)
+        assert code == 0
+        assert (code, out) == run(capsys, *head, *joined)[:2]
+
 
 class TestExitCodes:
     def test_usage_error_on_float(self, capsys):

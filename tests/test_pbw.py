@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -69,6 +70,14 @@ class TestNormalOrder:
         for _ in range(100):
             w = random_word(rng)
             assert normal_order(w).max_word_length() <= len(w)
+
+    def test_commuting_letter_is_placed_by_sorted_insertion(self):
+        window = generator_window(3)
+        commuting = [g for g in window if g.kind != "L"]
+        for n in range(5):
+            for w in combinations_with_replacement(window, n):
+                for g in commuting:
+                    assert normal_order((g,) + w).terms == {tuple(sorted((g,) + w)): 1}
 
     def test_soundness_against_bracket(self):
         for a in generator_window(3):

@@ -1,10 +1,11 @@
 """Hypothesis properties: the memoised rewriting kernel against the naive
-rewriter, the omega anti-involution, exactness of every coefficient (int or
-Fraction, never float or bool), the linear-combination axioms of Lie
-elements, U elements and Verma vectors, the symmetry of the Gram matrix,
-the closed-form determinant against Bareiss on the full Gram matrix, the
-first degenerate level against the irreducibility criterion, the sparse
-kernel against dense Gauss-Jordan, and the Poly ring."""
+rewriter (on random words and on L blocks before commuting blocks), the
+omega anti-involution, exactness of every coefficient (int or Fraction,
+never float or bool), the linear-combination axioms of Lie elements, U
+elements and Verma vectors, the symmetry of the Gram matrix, the
+closed-form determinant against Bareiss on the full Gram matrix, the first
+degenerate level against the irreducibility criterion, the sparse kernel
+against dense Gauss-Jordan, and the Poly ring."""
 
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from dense_kernel import dense_nullspace
 from naive_rewriter import naive_normal_order
 from w22 import linalg
-from w22.algebra import LieElement, bracket, generator_window
+from w22.algebra import C, C1, I, L, LieElement, bracket, generator_window
 from w22.pbw import UEElement, multiply, normal_order, omega
 from w22.scalars import PARAM_POLYS, QQ, Poly
 from w22.verma import (
@@ -62,6 +63,25 @@ def assert_exact(coefs):
 @given(words(8))
 def test_normal_order_matches_naive_rewriter(word):
     assert normal_order(word) == naive_normal_order(word, "leftmost")
+
+
+@st.composite
+def l_block_before_commuting_block(draw):
+    """A block of L letters followed by a block of C, C1 and I letters with
+    repeated indices, at length <= 9.  The I indices include -k for every
+    L(k), so [L(k), I(-k)] brings in C1."""
+    l_indices = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=5))
+    commuting = st.sampled_from([C, C1, I(-1), I(2)] + [I(-k) for k in l_indices])
+    tail = draw(st.lists(commuting, min_size=1, max_size=9 - len(l_indices)))
+    return tuple(L(k) for k in l_indices) + tuple(tail)
+
+
+@derandomized
+@given(l_block_before_commuting_block())
+def test_l_block_through_commuting_block_matches_naive_rewriter(word):
+    expected = naive_normal_order(word, "leftmost")
+    assert expected == naive_normal_order(word, "rightmost")
+    assert normal_order(word) == expected
 
 
 @derandomized
