@@ -4,8 +4,9 @@ All scalar input is parsed as exact rational strings ("p/q" or integers);
 there is no float path.  Output is JSON (default) or CSV and is byte-for-byte
 reproducible for a fixed invocation.  Exit codes: 0 on computed success
 (including expected failures that match their recorded expectation), 1 on an
-unexpected property violation, 2 on usage errors and out-of-bound input;
-any other exception is an internal fault and propagates.
+unexpected property violation, 2 on usage errors, out-of-bound input and a
+result too long to print (:class:`~w22.scalars.DigitLimitError`); any other
+exception is an internal fault and propagates.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 from . import identities, realizations, verma
 from .algebra import IndexLimitError, jacobi_report
-from .scalars import PARAM_POLYS, QQ, parse_rational
+from .scalars import PARAM_POLYS, QQ, DigitLimitError, parse_rational
 from .verma import DEFAULT_MAX_LEVEL, HWParams
 
 __all__ = ["main", "build_parser"]
@@ -374,7 +375,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         code, text = _HANDLERS[args.command](args)
-    except (UsageError, verma.LevelBoundError, IndexLimitError) as exc:
+    except (UsageError, verma.LevelBoundError, IndexLimitError, DigitLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(text)

@@ -6,15 +6,30 @@ polynomial over Q in the four fixed module parameters ``lambda``, ``c``,
 ``c0``, ``c1``.  There is no floating point anywhere; every number that
 enters or leaves the engine is an exact rational or a polynomial with
 rational coefficients.
+
+``Poly`` multiplication is an integer kernel.  Each operand is written over
+one common denominator, the lcm of its coefficient denominators, with
+integer numerators; the numerators are convolved in ``int`` arithmetic,
+keyed by the summed exponents; and each nonzero output coefficient becomes
+one ``Fraction`` of its summed numerator over the product of the two
+denominators.  Integer sums and products are exact, and the one
+``Fraction`` per output term reduces by a gcd, so the stored coefficients
+are the same canonical fractions as a term-by-term ``Fraction`` product
+would give, with one normalisation per output term instead of one per pair
+of terms.  The determinant's factors ``f(k)`` have coefficients with
+denominator 1 or 2, so the common denominators stay powers of 2.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
+from math import gcd
 
 __all__ = [
     "VARIABLES",
+    "DigitLimitError",
     "Poly",
     "parse_rational",
     "RationalScalars",
@@ -31,20 +46,46 @@ _ZERO_EXP = (0, 0, 0, 0)
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
+class DigitLimitError(ValueError):
+    """An integer too long for the interpreter's decimal conversion.
+
+    Python refuses to convert between ``int`` and ``str`` beyond
+    ``sys.get_int_max_str_digits()`` decimal digits (4300 by default).  The
+    engine never raises that limit; it refuses such a number in both
+    directions with this error: a longer literal on input
+    (:func:`parse_rational`) and a longer numerator or denominator on output
+    (``str`` of a :class:`Poly`, :meth:`RationalScalars.format`).
+    """
+
+
+def _decimal(convert, value):
+    """``convert(value)`` for ``convert`` in (``int``, ``str``), with the
+    interpreter's digit-limit ``ValueError`` raised as :class:`DigitLimitError`."""
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise DigitLimitError(
+            f"a number with more than {sys.get_int_max_str_digits()} decimal digits "
+            "(the interpreter's int/str conversion limit, which w22 does not raise)"
+        ) from exc
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse an exact rational literal ``p`` or ``p/q``.
 
     Anything else (floats, exponents, stray whitespace) is rejected; this is
-    the only scalar input path, so no float can leak into a computation.
+    the only scalar input path, so no float can leak into a computation.  A
+    numerator or denominator longer than the interpreter's digit limit
+    raises :class:`DigitLimitError`.
     """
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise ValueError(f"not an exact rational literal: {text!r}")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise ValueError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, _, den = text.partition("/")
+    num = _decimal(int, num)
+    den = _decimal(int, den) if den else 1
+    if den == 0:
+        raise ValueError(f"zero denominator: {text!r}")
+    return Fraction(num, den)
 
 
 def _as_fraction(value) -> Fraction:
@@ -55,6 +96,16 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _integer_terms(terms):
+    """Write a term map as ``D`` and ``[(exp, n)]`` with every coefficient
+    equal to ``n / D``: ``D`` is the lcm of the denominators, so each ``n``
+    is an integer."""
+    den = 1
+    for coef in terms.values():
+        den = den // gcd(den, coef.denominator) * coef.denominator
+    return den, [(exp, coef.numerator * (den // coef.denominator)) for exp, coef in terms.items()]
+
+
 class Poly:
     """Sparse polynomial in (lambda, c, c0, c1) with ``Fraction`` coefficients.
 
@@ -62,6 +113,10 @@ class Poly:
     The canonical term order used for printing is descending lexicographic on
     the exponent tuple, so string output is deterministic and round-trips
     through :meth:`PolynomialScalars.parse`.
+
+    ``*`` multiplies in integers: both operands over their own common
+    denominator, an ``int`` convolution of the numerators, and one reduced
+    ``Fraction`` per nonzero output term (see the module docstring).
     """
 
     __slots__ = ("_terms", "_hash")
@@ -160,16 +215,18 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        d1, n1 = _integer_terms(self._terms)
+        d2, n2 = _integer_terms(other._terms)
         out = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exp = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                s = out.get(exp, Fraction(0)) + c1 * c2
-                if s:
-                    out[exp] = s
-                else:
-                    out.pop(exp, None)
-        return Poly(out)
+        get = out.get
+        for (a0, a1, a2, a3), x in n1:
+            for (b0, b1, b2, b3), y in n2:
+                exp = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+                out[exp] = get(exp, 0) + x * y
+        den = d1 * d2
+        product = Poly()
+        product._terms = {exp: Fraction(num, den) for exp, num in out.items() if num}
+        return product
 
     __rmul__ = __mul__
 
@@ -257,9 +314,9 @@ class Poly:
             )
             mag = abs(coef)
             if mono:
-                body = mono if mag == 1 else f"{mag}*{mono}"
+                body = mono if mag == 1 else f"{_decimal(str, mag)}*{mono}"
             else:
-                body = str(mag)
+                body = _decimal(str, mag)
             parts.append(("-" if coef < 0 else "+", body))
         sign, body = parts[0]
         pieces = [("-" + body) if sign == "-" else body]
@@ -335,7 +392,7 @@ class RationalScalars:
 
     @staticmethod
     def format(value) -> str:
-        return str(_as_fraction(value))
+        return _decimal(str, _as_fraction(value))
 
     @staticmethod
     def exact_div(a, b) -> Fraction:

@@ -285,6 +285,19 @@ class TestExitCodes:
         assert code == 2
         assert "index" in err
 
+    def test_result_beyond_digit_limit_is_a_usage_error(self, capsys, monkeypatch):
+        # The level-12 determinant at this point has more decimal digits than
+        # Python converts to str by default.
+        monkeypatch.setenv(cli.ENV_MAX_LEVEL, "12")
+        code, out, err = run(capsys, "det", "--level", "12", *_point("2", "1", "1", "0"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "decimal digits" in err
+
+    def test_literal_beyond_digit_limit_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "criterion", "--c0", "7" * 5001, "--c1", "1")
+        assert (code, out) == (2, "")
+        assert "decimal digits" in err
+
     def test_internal_fault_is_not_a_usage_error(self, capsys, monkeypatch):
         def inexact(*args, **kwargs):
             raise ValueError("inexact polynomial division")

@@ -225,6 +225,45 @@ def test_poly_ring_axioms(x, y, z):
     assert x + (-x) == zero and x - y == x + (-y)
 
 
+kernel_scalars = st.integers(-60, 60) | st.fractions(-60, 60, max_denominator=50)
+kernel_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 4), kernel_scalars, max_size=5
+).map(Poly) | kernel_scalars.map(Poly.const)
+
+
+def _fraction_terms(x):
+    return x.terms if isinstance(x, Poly) else {(0, 0, 0, 0): Fraction(x)}
+
+
+def fraction_convolution(x, y):
+    """The product term by term: one Fraction product and sum per pair."""
+    out = {}
+    for e1, c1 in _fraction_terms(x).items():
+        for e2, c2 in _fraction_terms(y).items():
+            exp = tuple(a + b for a, b in zip(e1, e2))
+            out[exp] = out.get(exp, 0) + c1 * c2
+    return {exp: c for exp, c in out.items() if c}
+
+
+kernel_operands = st.one_of(
+    st.tuples(kernel_polys, kernel_polys),
+    st.tuples(kernel_polys, kernel_scalars),
+    st.tuples(kernel_scalars, kernel_polys),
+    # (p + q)(p - q): the cross terms cancel
+    st.builds(lambda p, q: (p + q, p - q), kernel_polys, kernel_polys),
+)
+
+
+@derandomized
+@given(kernel_operands)
+def test_poly_product_matches_fraction_convolution(xy):
+    x, y = xy
+    product = x * y
+    assert isinstance(product, Poly)
+    assert product.terms == fraction_convolution(x, y)
+    assert all(type(c) is Fraction and c for c in product.terms.values())
+
+
 @derandomized_short
 @given(polys, st.integers(0, 6))
 def test_poly_power_is_repeated_multiplication(x, k):

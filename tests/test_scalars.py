@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from w22.scalars import PARAM_POLYS, QQ, Poly, parse_rational
+from w22.scalars import PARAM_POLYS, QQ, DigitLimitError, Poly, parse_rational
 
 
 def test_parse_rational_accepts_exact_literals():
@@ -16,6 +16,15 @@ def test_parse_rational_accepts_exact_literals():
 def test_parse_rational_rejects_everything_else(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
+
+
+def test_numbers_beyond_the_digit_limit_are_refused_both_ways():
+    with pytest.raises(DigitLimitError):
+        parse_rational("1/" + "7" * 5001)
+    with pytest.raises(DigitLimitError):
+        QQ.format(Fraction(1, 10 ** 5000))
+    with pytest.raises(DigitLimitError):
+        str(10 ** 5000 * PARAM_POLYS.c0 + 1)
 
 
 def test_rational_format_round_trip():

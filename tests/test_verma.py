@@ -64,14 +64,18 @@ EXCEPTIONAL_POINTS = [
 ]
 
 
-# SHA-256 of str(shapovalov_det(n, HWParams.symbolic())), recorded once from
-# the block-Bareiss determinant (level 8 takes minutes there).  The Poly
-# string is canonical, so any correct evaluation prints these bytes.
+# SHA-256 of str(shapovalov_det(n, HWParams.symbolic(), n)), recorded once:
+# levels 5-8 from the block-Bareiss determinant (level 8 takes minutes
+# there), levels 9 and 10 from the closed-form product multiplied out one
+# Fraction operation per pair of terms.  The Poly string is canonical, so
+# any correct evaluation prints these bytes.
 SYMBOLIC_DET_SHA256 = {
     5: "96c0e9023b851878b6684391c41d0cf93823ffb2cca86db710e2913ef4535920",
     6: "eec0d8e9582c79989e1bcb65984a48366a26843f265b5d1fa020f0ad02b8ccd8",
     7: "c7a45d84515e620e4a4fdd5f02c10ed404cd6a039c29da58c1e4c8a1162251a8",
     8: "c82ebea373d7c9c985b1df9f455e67e403f051d4c24ee5616122528c8bd1348a",
+    9: "823534c78efe2e99579f4c5947d16b8b9661e15fa1c3d55d64aed493ee68ca9c",
+    10: "173bd831b21c4c8e84958e989411a977bee74e4a541def5ed8de81d907c74477",
 }
 
 
@@ -347,9 +351,10 @@ class TestGramBlocks:
         for p in points:
             assert shapovalov_det(n, p) == linalg.det(gram_matrix(n, p).entries, p.ring)
 
-    @pytest.mark.parametrize("n", range(5, 8))
+    @pytest.mark.parametrize("n", [5, 6, 7, 9, 10])
     def test_symbolic_output_matches_recorded_digest(self, n):
-        text = str(shapovalov_det(n, HWParams.symbolic()))
+        # Level 8 is pinned through the CLI; 9 and 10 lie above the default bound.
+        text = str(shapovalov_det(n, HWParams.symbolic(), n))
         assert hashlib.sha256(text.encode()).hexdigest() == SYMBOLIC_DET_SHA256[n]
 
     def test_symbolic_level_five_is_free_of_lambda_and_c(self):
