@@ -11,21 +11,24 @@ The generator action is computed by straightening.  The basis words are
 exactly the PBW normal words of U(n-), so a negative mode acts by
 :func:`w22.pbw.normal_order`.  Any other generator is commuted through a
 basis word with the defining bracket until it hits the highest weight
-vector.  Everything is exact, and works identically over rational parameters
-and over the symbolic polynomial ring in (lambda, c, c0, c1).
+vector.  Only that meeting brings in a parameter, so the image of a basis
+monomial is affine in (lambda, c, c0, c1): it is built once as a point-free
+table and evaluated once per point.  Everything is exact, and works
+identically over rational parameters and over the symbolic polynomial ring
+in (lambda, c, c0, c1).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, isqrt
 from typing import NamedTuple, Optional
 
 from . import linalg
-from .algebra import Combination, Generator, I, L, LieElement, _accumulate, bracket_gen
+from .algebra import _ONE, Combination, Generator, I, L, LieElement, _accumulate, bracket_gen
 from .pbw import normal_order
 from .scalars import PARAM_POLYS, QQ
 
@@ -71,14 +74,6 @@ class HWParams:
     c0: object
     c1: object
     ring: object
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # Every memoised action is keyed by the point, so hash it once.
-        object.__setattr__(self, "_hash", hash((self.lam, self.c, self.c0, self.c1, self.ring)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @classmethod
     def rational(cls, lam, c, c0, c1) -> "HWParams":
@@ -156,9 +151,13 @@ def level_basis(n: int, max_level: int = DEFAULT_MAX_LEVEL):
     The order is descending lexicographic on (i_part, l_part); for n = 2 it
     reads I(-2), I(-1)I(-1), I(-1)L(-1), L(-2), L(-1)L(-1).
     """
+    _check_level(n, max_level)
+    return sorted(partition_pairs(n), reverse=True)
+
+
+def _check_level(n: int, max_level: int) -> None:
     if n < 0 or n > max_level:
         raise LevelBoundError(f"level {n} outside [0, {max_level}]")
-    return sorted(partition_pairs(n), reverse=True)
 
 
 class VermaVector(Combination):
@@ -193,44 +192,87 @@ def highest_weight_vector() -> VermaVector:
     return VermaVector(0, {EMPTY_MONOMIAL: Fraction(1)})
 
 
+#: The slots of a point-free table term: the constant 1, or the name of the
+#: HWParams field whose value multiplies the term's coefficient.
+SLOTS = (1, "lam", "c", "c0", "c1")
+
+
 @lru_cache(maxsize=None)
-def _act_on_monomial(g: Generator, mono: BasisMonomial, p: HWParams):
-    """Coordinates of g acting on one basis monomial, as (monomial, coeff)
-    pairs, memoised per parameter point.  A negative mode acts by normal
-    ordering in U; any other generator moves right through ``mono = h t`` by
-    ``g h t v = h (g t v) + [g, h] t v`` until it meets v."""
+def _act_on_monomial(g: Generator, mono: BasisMonomial):
+    """Point-free image of one basis monomial under g, as ((monomial, slot),
+    coef) pairs: at a point the monomial's coordinate is the sum of coef
+    times the slot's value (see :data:`SLOTS`).
+
+    A negative mode acts by normal ordering in U, which involves no
+    parameter.  Any other generator moves right through ``mono = h t`` by
+    ``g h t v = h (g t v) + [g, h] t v`` until it meets v, and only there
+    does a parameter enter.  One generator moves at a time, and the head h
+    is a negative mode, so ``h (g t v)`` keeps the slot of each term of
+    ``g t v``: every image is affine in the parameters."""
     kind, k = g.kind, g.index
     if kind == "C":
-        return ((mono, p.c),)
+        return (((mono, "c"), 1),)
     if kind == "C1":
-        return ((mono, p.c1),)
+        return (((mono, "c1"), 1),)
     if k < 0:
         return tuple(
-            (BasisMonomial.of_word(w), c)
+            ((BasisMonomial.of_word(w), 1), c)
             for w, c in normal_order((g,) + mono.word()).terms.items()
         )
     if kind == "L" and k == 0:
-        return ((mono, p.lam - mono.level()),)
+        level = mono.level()
+        return (((mono, "lam"), 1),) + ((((mono, 1), -level),) if level else ())
     if kind == "I" and not mono.l_part:
         # I(k) commutes through the I block and meets v directly.
-        return ((mono, p.c0),) if k == 0 else ()
+        return (((mono, "c0"), 1),) if k == 0 else ()
     if mono == EMPTY_MONOMIAL:
         return ()
     head, tail = mono.split_head()
     out = {}
-    for m2, s2 in _act_on_monomial(g, tail, p):
-        _accumulate(out, _act_on_monomial(head, m2, p), s2)
+    for (m2, slot), s2 in _act_on_monomial(g, tail):
+        _accumulate(out, (((m3, slot), c3) for (m3, _), c3 in _act_on_monomial(head, m2)), s2)
     for gen2, bc in bracket_gen(g, head).terms.items():
-        _accumulate(out, _act_on_monomial(gen2, tail, p), bc)
+        _accumulate(out, _act_on_monomial(gen2, tail), bc)
+    return tuple(out.items())
+
+
+# The evaluated images at one point: generator -> monomial -> pairs.
+_memo_point: Optional[HWParams] = None
+_memo_images: dict = {}
+
+
+def _images_at(p: HWParams, g: Generator) -> dict:
+    """The memo of g's evaluated images at p.  It holds one point: another
+    HWParams object (compared with ``is``, so no point is hashed) replaces
+    it, so memory stays that of the last point however many are swept."""
+    global _memo_point, _memo_images
+    if p is not _memo_point:
+        _memo_point, _memo_images = p, {}
+    images = _memo_images.get(g)
+    if images is None:
+        images = _memo_images[g] = {}
+    return images
+
+
+def _evaluate(table, p: HWParams):
+    """A point-free table at p, as (monomial, coeff) pairs without zeros."""
+    out = {}
+    _accumulate(
+        out, ((m, coef if slot == 1 else coef * getattr(p, slot)) for (m, slot), coef in table), _ONE
+    )
     return tuple(out.items())
 
 
 def act(g: Generator, w: VermaVector, p: HWParams) -> VermaVector:
     """The module action of one generator on a homogeneous vector."""
     new_level = w.level - g.weight
+    images = _images_at(p, g)
     out = {}
     for mono, coef in w.terms.items():
-        _accumulate(out, _act_on_monomial(g, mono, p), coef)
+        pairs = images.get(mono)
+        if pairs is None:
+            pairs = images[mono] = _evaluate(_act_on_monomial(g, mono), p)
+        _accumulate(out, pairs, coef)
     return VermaVector(max(new_level, 0), out)
 
 
@@ -273,11 +315,12 @@ class GramMatrix:
         )
 
 
-def _pairing(row_mono: BasisMonomial, col_vec: VermaVector, p: HWParams):
-    """<row_mono at v, col_vec> via the transpose anti-involution."""
+def _pairing(row_word, col_vec: VermaVector, p: HWParams):
+    """<row at v, col_vec> via the transpose anti-involution, given the
+    row's word with every mode negated: its first letter acts first."""
     vec = col_vec
-    for g in row_mono.word():
-        vec = act(Generator(g.kind, -g.index), vec, p)
+    for g in row_word:
+        vec = act(g, vec, p)
     value = vec.terms.get(EMPTY_MONOMIAL, None)
     return value if value is not None else p.ring.zero
 
@@ -286,7 +329,8 @@ def gram_matrix(n: int, p: HWParams, max_level: int = DEFAULT_MAX_LEVEL) -> Gram
     """Matrix of the contravariant form on level n in the canonical basis."""
     basis = level_basis(n, max_level)
     units = [VermaVector(n, {b: Fraction(1)}) for b in basis]
-    entries = [[_pairing(bi, uj, p) for uj in units] for bi in basis]
+    rows = [tuple(Generator(g.kind, -g.index) for g in b.word()) for b in basis]
+    entries = [[_pairing(row, uj, p) for uj in units] for row in rows]
     return GramMatrix(level=n, basis=basis, entries=entries)
 
 
@@ -343,22 +387,31 @@ def shapovalov_det(n: int, p: HWParams, max_level: int = DEFAULT_MAX_LEVEL):
     are collected per k first, so each ``f(k)`` is raised to a power once,
     and a zero ``f(k)`` ends the product.
     """
+    _check_level(n, max_level)
+    exponents, scale = _det_shape(n)
+    factors = [(_f(k, p.c0, p.c1), e) for k, e in exponents]
+    if not all(fk for fk, _ in factors):
+        return p.ring.zero
+    det = p.ring.one * scale
+    for fk, e in factors:
+        det = det * fk ** e
+    return det
+
+
+@lru_cache(maxsize=None)
+def _det_shape(n: int):
+    """The point-free part of the level-n determinant: the exponent E_k of
+    each f(k), ascending in k, and ``prod m_k!`` with the swap sign."""
     exponents = Counter()
     scale = 1
     swapped = 0
-    for b in level_basis(n, max_level):
+    for b in level_basis(n, n):
         swapped += b.i_part != b.l_part
         for part in (b.i_part, b.l_part):
             for k, m in Counter(part).items():
                 exponents[k] += m
                 scale *= factorial(m)
-    factors = [(_f(k, p.c0, p.c1), e) for k, e in sorted(exponents.items())]
-    if not all(fk for fk, _ in factors):
-        return p.ring.zero
-    det = p.ring.one * (-scale if swapped // 2 % 2 else scale)
-    for fk, e in factors:
-        det = det * fk ** e
-    return det
+    return tuple(sorted(exponents.items())), -scale if swapped // 2 % 2 else scale
 
 
 @dataclass(frozen=True)
@@ -396,8 +449,7 @@ def singular_vectors(
     out = []
     for vec in kernel:
         w = VermaVector(n, dict(zip(basis, vec)))
-        eigen = act(I(0), w, p) == p.c0 * w
-        out.append(SingularVector(vector=w, i0_eigenvector=eigen))
+        out.append(SingularVector(vector=w, i0_eigenvector=not _i0_shifted(w)))
     return out
 
 
@@ -443,25 +495,45 @@ class I0Report:
     diagonalizable: bool
 
 
+def _i0_shifted(w: VermaVector) -> VermaVector:
+    """``(I(0) - c0) w`` at any point.  The c0 slot of the table of I(0) is
+    the identity (I(0) meets v only as c0) and every other term has the
+    slot 1 (``[I(0), L(-k)] = k I(-k)`` has no central part), so dropping
+    the c0 slot leaves the same integer operator at every point."""
+    i0 = I(0)
+    out = {}
+    for mono, coef in w.terms.items():
+        table = _act_on_monomial(i0, mono)
+        _accumulate(out, ((m, c) for (m, slot), c in table if slot != "c0"), coef)
+    return VermaVector(w.level, out)
+
+
+@lru_cache(maxsize=None)
+def _i0_nilpotency_degree(n: int) -> Optional[int]:
+    """The least e <= n + 1 with ``(I(0) - c0)^e = 0`` on level n, if any."""
+    vectors = [VermaVector(n, {b: 1}) for b in level_basis(n, n)]
+    for e in range(1, n + 2):
+        vectors = [w for w in map(_i0_shifted, vectors) if w]
+        if not vectors:
+            return e
+    return None
+
+
 def i0_matrix(n: int, p: HWParams, max_level: int = DEFAULT_MAX_LEVEL) -> I0Report:
     """Matrix of I(0) on level n plus verification that I(0) - c0 is
     nilpotent of degree at most n + 1 (and not diagonalizable for n >= 1).
 
     The degree is the first e at which applying ``w -> I(0) w - c0 w`` e
     times sends every basis vector to zero.  Since I(0) - c0 is nilpotent,
-    I(0) is diagonalizable exactly when that degree is 1."""
+    I(0) is diagonalizable exactly when that degree is 1.  I(0) - c0 does
+    not depend on the point (see :func:`_i0_shifted`), so neither does the
+    degree: it is found once per level, in integers."""
     basis = level_basis(n, max_level)
     # Fraction units keep every entry a Fraction; int ones would leave the
     # int structure constants in the reported matrix.
     images = [act(I(0), VermaVector(n, {b: Fraction(1)}), p) for b in basis]
     entries = [[w.terms.get(b, p.ring.zero) for w in images] for b in basis]
-    vectors = [VermaVector(n, {b: 1}) for b in basis]
-    degree = None
-    for e in range(1, n + 2):
-        vectors = [w for w in (act(I(0), w, p) - p.c0 * w for w in vectors) if w]
-        if not vectors:
-            degree = e
-            break
+    degree = _i0_nilpotency_degree(n)
     return I0Report(
         level=n,
         basis=basis,
@@ -482,3 +554,4 @@ def first_degenerate_level(
     element), so the form first degenerates at the smallest m with
     ``f(m) = 0``."""
     return next((m for m in range(1, max_level + 1) if not _f(m, p.c0, p.c1)), None)
+

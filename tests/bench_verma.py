@@ -1,0 +1,83 @@
+"""Timing of the Verma layer over sweeps of parameter points.
+
+    python3 -m pytest tests/bench_verma.py
+
+Each round sweeps 20 seeded points through ``gram_matrix``, ``i0_matrix``
+or ``singular_vectors`` at one level from 3 to 6.  Every round draws new
+points, so no work done at one point is reused at another, as in a sweep;
+only point-free work, such as the action tables, is built once, in the
+warm-up round.  Singular vectors are searched on the m = 1 and m = 2 loci,
+where the form degenerates and the nullspace is computed.  A single-point
+``gram_matrix(8)``, again at a new point per round, guards against
+evaluation work that grows with the number of ``act`` calls instead of the
+number of images.  The suite does not collect this file (its name does not
+match ``test_*.py``); it needs the pytest-benchmark plugin and is skipped
+without it.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("pytest_benchmark")
+
+from w22.verma import HWParams, gram_matrix, i0_matrix, singular_vectors
+
+POINTS = 20
+
+
+def draw_points(rng, count, locus=False):
+    """New seeded points, on the m = 1 or 2 locus if asked."""
+
+    def q(nonzero=False):
+        while True:
+            x = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            if x or not nonzero:
+                return x
+
+    points = []
+    for _ in range(count):
+        lam, c, c0, c1 = q(), q(), q(), q(nonzero=True)
+        if locus:
+            c0 = Fraction(rng.choice((1, 2)) ** 2 - 1, 24) * c1
+        points.append(HWParams.rational(lam, c, c0, c1))
+    return points
+
+
+def sweep(benchmark, run, n, locus=False):
+    rng = random.Random(n)
+
+    def target(points):
+        for p in points:
+            run(n, p)
+
+    benchmark.pedantic(
+        target, setup=lambda: ((draw_points(rng, POINTS, locus),), {}), rounds=5, warmup_rounds=1
+    )
+
+
+@pytest.mark.benchmark(group="gram sweep")
+@pytest.mark.parametrize("n", range(3, 7))
+def test_gram_matrix_sweep(benchmark, n):
+    sweep(benchmark, gram_matrix, n)
+
+
+@pytest.mark.benchmark(group="i0 sweep")
+@pytest.mark.parametrize("n", range(3, 7))
+def test_i0_matrix_sweep(benchmark, n):
+    sweep(benchmark, i0_matrix, n)
+
+
+@pytest.mark.benchmark(group="singular sweep")
+@pytest.mark.parametrize("n", range(3, 7))
+def test_singular_vectors_sweep(benchmark, n):
+    sweep(benchmark, singular_vectors, n, locus=True)
+
+
+@pytest.mark.benchmark(group="gram level 8")
+def test_gram_matrix_level_eight(benchmark):
+    rng = random.Random(8)
+    benchmark.pedantic(
+        gram_matrix, setup=lambda: ((8, draw_points(rng, 1)[0]), {}), rounds=3, warmup_rounds=1
+    )

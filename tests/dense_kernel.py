@@ -6,7 +6,8 @@ one normalized kernel vector per free column, in ascending free-column order.
 ``action_rows`` writes the action of one generator from level n to its
 target level as a dense matrix in the canonical bases.  Together they give
 the singular vectors the slow, obvious way; ``w22.linalg.nullspace`` on the
-sparse action images must give the same list.
+sparse action images must give the same list.  ``dense_nilpotency_degree``
+finds the nilpotency degree of ``I(0) - c0`` by dense matrix powers.
 """
 
 from fractions import Fraction
@@ -66,3 +67,19 @@ def dense_nullspace(rows, ncols):
             vec[col] = -m[row][free]
         basis.append(_normalize(vec))
     return basis
+
+
+def dense_nilpotency_degree(entries, c0, ring, bound):
+    """The smallest e <= bound with (entries - c0)^e = 0, by dense matrix
+    powers: the reference for the operator-applying i0_matrix."""
+    dim = len(entries)
+    shifted = [[x - c0 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(entries)]
+    power = shifted
+    for e in range(1, bound + 1):
+        if not any(x for row in power for x in row):
+            return e
+        power = [
+            [sum((row[t] * shifted[t][j] for t in range(dim)), ring.zero) for j in range(dim)]
+            for row in power
+        ]
+    return None

@@ -2,18 +2,21 @@
 rewriter (on random words and on L blocks before commuting blocks), the
 omega anti-involution, exactness of every coefficient (int or Fraction,
 never float or bool), the linear-combination axioms of Lie elements, U
-elements and Verma vectors, the symmetry of the Gram matrix, the
-closed-form determinant against Bareiss on the full Gram matrix, the first
-degenerate level against the irreducibility criterion, the sparse kernel
-against dense Gauss-Jordan, and the Poly ring."""
+elements and Verma vectors, the point-free action table against the
+per-point recursion, the I(0) nilpotency degree against dense powers, the
+symmetry of the Gram matrix, the closed-form determinant against Bareiss on
+the full Gram matrix, the first degenerate level against the
+irreducibility criterion, the sparse kernel against dense Gauss-Jordan, and
+the Poly ring."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from dense_kernel import dense_nullspace
+from dense_kernel import dense_nilpotency_degree, dense_nullspace
+from naive_action import naive_image
 from naive_rewriter import naive_normal_order
-from w22 import linalg
+from w22 import linalg, verma
 from w22.algebra import C, C1, I, L, LieElement, bracket, generator_window
 from w22.pbw import UEElement, multiply, normal_order, omega
 from w22.scalars import PARAM_POLYS, QQ, Poly
@@ -23,6 +26,7 @@ from w22.verma import (
     act,
     first_degenerate_level,
     gram_matrix,
+    i0_matrix,
     is_reducible,
     level_basis,
     shapovalov_det,
@@ -147,6 +151,19 @@ points = st.tuples(rationals, rationals, rationals, rationals).map(lambda t: HWP
 @given(st.integers(0, 4), points)
 def test_gram_matrix_is_symmetric(n, p):
     assert gram_matrix(n, p).is_symmetric()
+
+
+@derandomized
+@given(points, generators, st.integers(0, 4).flatmap(lambda n: st.sampled_from(level_basis(n))))
+def test_point_free_table_matches_per_point_recursion(p, g, mono):
+    assert dict(verma._evaluate(verma._act_on_monomial(g, mono), p)) == naive_image(g, mono, p)
+
+
+@derandomized_short
+@given(st.integers(0, 4), points)
+def test_i0_degree_matches_dense_powers(n, p):
+    report = i0_matrix(n, p)
+    assert report.nilpotency_degree == dense_nilpotency_degree(report.entries, p.c0, QQ, n + 1)
 
 
 @settings(derandomize=True, max_examples=10, deadline=None)

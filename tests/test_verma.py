@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from w22 import linalg
+from w22 import linalg, verma
 from w22.algebra import C, C1, I, L, bracket, generator_window
 from w22.scalars import PARAM_POLYS, Poly
 from w22.verma import (
@@ -27,7 +27,8 @@ from w22.verma import (
     singular_vectors,
 )
 
-from dense_kernel import action_rows, dense_nullspace
+from dense_kernel import action_rows, dense_nilpotency_degree, dense_nullspace
+from naive_action import naive_image
 
 LAM, CC, C0, C1V = PARAM_POLYS.lam, PARAM_POLYS.c, PARAM_POLYS.c0, PARAM_POLYS.c1
 
@@ -231,6 +232,72 @@ class TestAction:
         # L(1) L(-1) v = [L(1), L(-1)] v = -2 lambda v
         w = apply_word((L(1), L(-1)), highest_weight_vector(), self.p)
         assert w == VermaVector(0, {mono(): -2 * LAM})
+
+
+# Points of the oracle check: the m = 2 locus, its lambda_{2,1} Jordan
+# point, the plane c0 = c1 = 0, the generic point, and rational (lambda, c)
+# with c0 and c1 symbolic.
+ORACLE_POINTS = [
+    HWParams.rational(2, 1, 1, 8),
+    HWParams.rational(Fraction(-9, 4), 0, 1, 8),
+    HWParams.rational(2, 1, 0, 0),
+    HWParams.symbolic(),
+    HWParams(Poly.const(Fraction(3, 2)), Poly.const(-2), C0, C1V, PARAM_POLYS),
+]
+
+
+def evaluated_image(g, b, p):
+    """The point-free table of g on b, evaluated at p, as a dict."""
+    return dict(verma._evaluate(verma._act_on_monomial(g, b), p))
+
+
+class TestPointFreeTable:
+    @pytest.mark.parametrize("p", ORACLE_POINTS, ids=["locus2", "jordan2", "c0c1zero", "generic", "partial"])
+    def test_evaluated_table_equals_per_point_recursion(self, p):
+        for n in range(6):
+            for b in level_basis(n):
+                for g in generator_window(3):
+                    assert evaluated_image(g, b, p) == naive_image(g, b, p), (g, b)
+                    assert act(g, VermaVector(n, {b: 1}), p).terms == naive_image(g, b, p)
+
+    def test_every_term_carries_one_slot(self):
+        for n in range(6):
+            for b in level_basis(n):
+                for g in generator_window(3):
+                    for (m, slot), coef in verma._act_on_monomial(g, b):
+                        assert isinstance(m, BasisMonomial) and m.level() == n - g.weight
+                        assert slot in verma.SLOTS
+                        assert type(coef) in (int, Fraction) and coef
+
+    def test_i0_c0_slot_is_the_identity(self):
+        # So I(0) - c0 is the slot-1 part of I(0)'s table at every point.
+        for n in range(DEFAULT_MAX_LEVEL + 1):
+            for b in level_basis(n):
+                table = verma._act_on_monomial(I(0), b)
+                assert {m: c for (m, slot), c in table if slot == "c0"} == {b: 1}
+                assert all(slot in (1, "c0") and type(c) is int for (_, slot), c in table)
+
+    def test_sweep_keeps_one_table_and_one_point(self):
+        points = seeded_points(91, 20)
+        verma._act_on_monomial.cache_clear()
+        for k, p in enumerate(points):
+            gram_matrix(5, p)
+            i0_matrix(5, p)
+            if k == 0:
+                first = verma._act_on_monomial.cache_info().currsize
+        assert verma._act_on_monomial.cache_info().currsize == first
+        assert verma._memo_point is points[-1]
+        held = {g: dict(images) for g, images in verma._memo_images.items()}
+        again = HWParams.rational(points[-1].lam, points[-1].c, points[-1].c0, points[-1].c1)
+        gram_matrix(5, again)
+        i0_matrix(5, again)
+        assert verma._memo_point is again
+        assert {g: dict(images) for g, images in verma._memo_images.items()} == held
+
+    def test_hwparams_hash_follows_the_point(self):
+        p, q = HWParams.rational(2, 1, 1, 8), HWParams.rational(2, 1, 1, 8)
+        assert p == q and hash(p) == hash(q) and p is not q
+        assert HWParams.symbolic() == HWParams.symbolic()
 
 
 class TestGram:
@@ -535,22 +602,6 @@ class TestI0Jordan:
         degree = dense_nilpotency_degree(rep.entries, p.c0, p.ring, n + 1)
         assert rep.nilpotency_degree == degree
         assert rep.diagonalizable == (degree == 1)
-
-
-def dense_nilpotency_degree(entries, c0, ring, bound):
-    """The smallest e <= bound with (entries - c0)^e = 0, by dense matrix
-    powers: the reference for the operator-applying i0_matrix."""
-    dim = len(entries)
-    shifted = [[x - c0 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(entries)]
-    power = shifted
-    for e in range(1, bound + 1):
-        if not any(x for row in power for x in row):
-            return e
-        power = [
-            [sum((row[t] * shifted[t][j] for t in range(dim)), ring.zero) for j in range(dim)]
-            for row in power
-        ]
-    return None
 
 
 class TestFirstDegenerateLevel:
