@@ -251,8 +251,10 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
+        # A constant equals its Fraction value, so it must hash as that value.
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            key = self.constant_value() if self.is_constant() else frozenset(self._terms.items())
+            self._hash = hash(key)
         return self._hash
 
     # -- division and evaluation -------------------------------------------

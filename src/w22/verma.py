@@ -152,7 +152,13 @@ def level_basis(n: int, max_level: int = DEFAULT_MAX_LEVEL):
     reads I(-2), I(-1)I(-1), I(-1)L(-1), L(-2), L(-1)L(-1).
     """
     _check_level(n, max_level)
-    return sorted(partition_pairs(n), reverse=True)
+    return list(_sorted_basis(n))
+
+
+@lru_cache(maxsize=None)
+def _sorted_basis(n: int) -> tuple:
+    """The level-n basis in canonical order, sorted once per level."""
+    return tuple(sorted(partition_pairs(n), reverse=True))
 
 
 def _check_level(n: int, max_level: int) -> None:
@@ -405,7 +411,7 @@ def _det_shape(n: int):
     exponents = Counter()
     scale = 1
     swapped = 0
-    for b in level_basis(n, n):
+    for b in _sorted_basis(n):
         swapped += b.i_part != b.l_part
         for part in (b.i_part, b.l_part):
             for k, m in Counter(part).items():
@@ -432,14 +438,17 @@ def singular_vectors(
     A singular vector w lies in the radical of the contravariant form, since
     ``<x v, w> = <v, omega(x) w> = 0`` for every x in U(n-) of degree n
     (omega(x) is a sum of positive-mode words).  So where the determinant is
-    nonzero the result is ``[]``, found without any elimination.  Elsewhere
-    it is the :func:`linalg.nullspace` of the images of the basis monomials,
-    one sparse column each, keyed by (generator, target monomial)."""
+    nonzero, that is where no ``f(k)`` with k <= n vanishes (see
+    :func:`first_degenerate_level`), the result is ``[]``, found without
+    any elimination.  Elsewhere it is the :func:`linalg.nullspace` of the
+    images of the basis monomials, one sparse column each, keyed by
+    (generator, target monomial)."""
     if n < 1:
         raise ValueError("singular vectors live at positive levels")
     if not p.ring.is_field:
         raise TypeError("singular-vector search requires rational parameters")
-    if shapovalov_det(n, p, max_level):
+    _check_level(n, max_level)
+    if first_degenerate_level(p, n) is None:
         return []
     basis = level_basis(n, max_level)
     units = [VermaVector(n, {b: Fraction(1)}) for b in basis]
@@ -509,14 +518,28 @@ def _i0_shifted(w: VermaVector) -> VermaVector:
 
 
 @lru_cache(maxsize=None)
-def _i0_nilpotency_degree(n: int) -> Optional[int]:
-    """The least e <= n + 1 with ``(I(0) - c0)^e = 0`` on level n, if any."""
-    vectors = [VermaVector(n, {b: 1}) for b in level_basis(n, n)]
-    for e in range(1, n + 2):
+def _i0_nilpotent(n: int):
+    """The point-free part of I(0) on level n: ``N_n = I(0) - c0`` as
+    sparse rows in the canonical basis, row i holding the ``(j, entry)``
+    with a nonzero ``Fraction`` entry, and the least e <= n + 1 with
+    ``N_n^e = 0``, if any.
+
+    N_n has no diagonal entry: ``[I(0), L(-k)] = k I(-k)`` turns an L
+    factor into an I factor, so every term of ``N_n b`` has fewer L factors
+    than b."""
+    basis = _sorted_basis(n)
+    index = {b: i for i, b in enumerate(basis)}
+    columns = [_i0_shifted(VermaVector(n, {b: 1})) for b in basis]
+    rows = [[] for _ in basis]
+    for j, w in enumerate(columns):
+        for m, c in w.terms.items():
+            rows[index[m]].append((j, Fraction(c)))
+    vectors = [w for w in columns if w]
+    degree = 1
+    while vectors and degree <= n:
         vectors = [w for w in map(_i0_shifted, vectors) if w]
-        if not vectors:
-            return e
-    return None
+        degree += 1
+    return tuple(map(tuple, rows)), None if vectors else degree
 
 
 def i0_matrix(n: int, p: HWParams, max_level: int = DEFAULT_MAX_LEVEL) -> I0Report:
@@ -526,14 +549,22 @@ def i0_matrix(n: int, p: HWParams, max_level: int = DEFAULT_MAX_LEVEL) -> I0Repo
     The degree is the first e at which applying ``w -> I(0) w - c0 w`` e
     times sends every basis vector to zero.  Since I(0) - c0 is nilpotent,
     I(0) is diagonalizable exactly when that degree is 1.  I(0) - c0 does
-    not depend on the point (see :func:`_i0_shifted`), so neither does the
-    degree: it is found once per level, in integers."""
+    not depend on the point (see :func:`_i0_shifted`), so it and its degree
+    are found once per level, in integers, and the matrix at p is
+    ``c0 Id + N_n``."""
     basis = level_basis(n, max_level)
-    # Fraction units keep every entry a Fraction; int ones would leave the
-    # int structure constants in the reported matrix.
-    images = [act(I(0), VermaVector(n, {b: Fraction(1)}), p) for b in basis]
-    entries = [[w.terms.get(b, p.ring.zero) for w in images] for b in basis]
-    degree = _i0_nilpotency_degree(n)
+    rows, degree = _i0_nilpotent(n)
+    zero = p.ring.zero
+    # The entry types of the images of Fraction unit vectors: Fraction(1)
+    # times c0 on the diagonal, and a Fraction or the ring's zero elsewhere.
+    diagonal = Fraction(1) * p.c0 if p.c0 else zero
+    entries = []
+    for i, row in enumerate(rows):
+        dense = [zero] * len(rows)
+        dense[i] = diagonal
+        for j, entry in row:
+            dense[j] = entry
+        entries.append(dense)
     return I0Report(
         level=n,
         basis=basis,
@@ -552,6 +583,6 @@ def first_degenerate_level(
     The level-n determinant is a product of powers of ``f(k)``, and ``f(k)``
     occurs for exactly the k <= n (``L(-k) L(-1)^{n-k} v`` is a basis
     element), so the form first degenerates at the smallest m with
-    ``f(m) = 0``."""
-    return next((m for m in range(1, max_level + 1) if not _f(m, p.c0, p.c1)), None)
-
+    ``f(m) = 0``, that is with ``(m^2 - 1) c1 = 24 c0``."""
+    t = 24 * p.c0
+    return next((m for m in range(1, max_level + 1) if (m * m - 1) * p.c1 == t), None)

@@ -10,7 +10,11 @@ warm-up round.  Singular vectors are searched on the m = 1 and m = 2 loci,
 where the form degenerates and the nullspace is computed.  A single-point
 ``gram_matrix(8)``, again at a new point per round, guards against
 evaluation work that grows with the number of ``act`` calls instead of the
-number of images.  The suite does not collect this file (its name does not
+number of images.  The sweep-job round does at each of its 20 points what
+one job of the ``sweep`` workload of ``perfbench/`` does: the first
+degenerate level up to 5, the singular search there (or at level 5), and
+I(0) at a level from 1 to 3; three of the points lie on the m = 1 or 2
+locus.  The suite does not collect this file (its name does not
 match ``test_*.py``); it needs the pytest-benchmark plugin and is skipped
 without it.
 """
@@ -22,7 +26,7 @@ import pytest
 
 pytest.importorskip("pytest_benchmark")
 
-from w22.verma import HWParams, gram_matrix, i0_matrix, singular_vectors
+from w22.verma import HWParams, first_degenerate_level, gram_matrix, i0_matrix, singular_vectors
 
 POINTS = 20
 
@@ -73,6 +77,22 @@ def test_i0_matrix_sweep(benchmark, n):
 @pytest.mark.parametrize("n", range(3, 7))
 def test_singular_vectors_sweep(benchmark, n):
     sweep(benchmark, singular_vectors, n, locus=True)
+
+
+@pytest.mark.benchmark(group="sweep job")
+def test_sweep_job(benchmark):
+    rng = random.Random(5)
+    top = 5
+
+    def target(points):
+        for k, p in enumerate(points):
+            singular_vectors(first_degenerate_level(p, top) or top, p)
+            i0_matrix(1 + k % 3, p)
+
+    def setup():
+        return (draw_points(rng, POINTS - 3) + draw_points(rng, 3, locus=True),), {}
+
+    benchmark.pedantic(target, setup=setup, rounds=5, warmup_rounds=1)
 
 
 @pytest.mark.benchmark(group="gram level 8")

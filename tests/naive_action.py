@@ -5,13 +5,18 @@ one parameter point, with the parameters' values in every coefficient.
 one basis monomial as (monomial, coeff) pairs.  It shares no table with
 ``w22.verma``, which builds every image once without a point and evaluates
 it per point; the evaluated images must equal these.
+
+``per_point_i0`` and ``per_point_i0_degree`` assemble I(0) on a level at one
+point from ``act``, with no use of the point-free part of I(0) that
+``i0_matrix`` reads from a per-level table.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 
-from w22.algebra import _accumulate, bracket_gen
+from w22.algebra import I, _accumulate, bracket_gen
 from w22.pbw import normal_order
-from w22.verma import EMPTY_MONOMIAL, BasisMonomial
+from w22.verma import EMPTY_MONOMIAL, BasisMonomial, VermaVector, act, level_basis
 
 
 @lru_cache(maxsize=None)
@@ -47,3 +52,22 @@ def naive_act_on_monomial(g, mono, p):
 def naive_image(g, mono, p) -> dict:
     """The oracle's image as a dict without zero coordinates."""
     return {m: c for m, c in naive_act_on_monomial(g, mono, p) if c}
+
+
+def per_point_i0(n, p):
+    """The matrix of I(0) on level n at p: column j is the image under
+    ``act`` of the j-th basis vector with coefficient ``Fraction(1)``."""
+    basis = level_basis(n)
+    images = [act(I(0), VermaVector(n, {b: Fraction(1)}), p) for b in basis]
+    return [[w.terms.get(b, p.ring.zero) for w in images] for b in basis]
+
+
+def per_point_i0_degree(n, p):
+    """The least e <= n + 1 with ``(I(0) - c0)^e = 0`` on level n, applying
+    ``w -> act(I(0), w) - c0 w`` at p to every basis vector; None if none."""
+    vectors = [VermaVector(n, {b: Fraction(1)}) for b in level_basis(n)]
+    for e in range(1, n + 2):
+        vectors = [w for w in (act(I(0), w, p) + (-p.c0) * w for w in vectors) if w]
+        if not vectors:
+            return e
+    return None

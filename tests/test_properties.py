@@ -6,8 +6,9 @@ elements and Verma vectors, the point-free action table against the
 per-point recursion, the I(0) nilpotency degree against dense powers, the
 symmetry of the Gram matrix, the closed-form determinant against Bareiss on
 the full Gram matrix, the first degenerate level against the
-irreducibility criterion, the sparse kernel against dense Gauss-Jordan, and
-the Poly ring."""
+irreducibility criterion and against the determinants, the singular-vector
+shortcut against the determinant, the sparse kernel against dense
+Gauss-Jordan, and the Poly ring."""
 
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from w22.verma import (
     is_reducible,
     level_basis,
     shapovalov_det,
+    singular_vectors,
 )
 
 WINDOW = generator_window(3)
@@ -188,6 +190,31 @@ def test_first_degenerate_level_is_the_criterion_witness(c0c1, top):
     _, witness = is_reducible(c0, c1)
     expected = witness if witness is not None and witness <= top else None
     assert first_degenerate_level(HWParams.rational(0, 0, c0, c1), top) == expected
+
+
+def on_locus(lam, c, m, c1):
+    return (lam, c, *locus_point(m, c1))
+
+
+@derandomized_short
+@given(
+    st.tuples(rationals, rationals, rationals, rationals)
+    | st.builds(on_locus, rationals, rationals, st.integers(1, 6), rationals),
+    st.integers(1, 6),
+)
+def test_singular_shortcut_follows_the_determinant(point, n):
+    """singular_vectors answers [] from f(k) alone where the determinant is
+    nonzero.  The converse holds only at the least degenerate level, whose
+    radical is all singular (the form is nondegenerate below it): on the m
+    = 2 locus level 3 has a zero determinant and no singular vector."""
+    p = HWParams.rational(*point)
+    degenerate = [k for k in range(1, n + 1) if shapovalov_det(k, p) == 0]
+    assert first_degenerate_level(p, n) == (degenerate[0] if degenerate else None)
+    found = singular_vectors(n, p)
+    if shapovalov_det(n, p) != 0:
+        assert found == []
+    elif n == degenerate[0]:
+        assert found
 
 
 @st.composite

@@ -48,6 +48,19 @@ def test_poly_mixed_scalar_ops():
     assert (Fraction(2) - c1) == -(c1 - 2)
 
 
+def test_constant_poly_hashes_as_its_value():
+    c1 = PARAM_POLYS.c1
+    for equal in (
+        [0, Fraction(0), Poly.zero(), c1 - c1],
+        [4, Fraction(4), Poly.const(4), c1 - c1 + 4],
+        [Fraction(-3, 2), Poly.const(Fraction(-3, 2))],
+    ):
+        assert all(x == equal[0] and hash(x) == hash(equal[0]) for x in equal)
+        assert len(set(equal)) == 1
+        assert {x: k for k, x in enumerate(equal)} == {equal[0]: len(equal) - 1}
+    assert len({Poly.const(4), 4, Fraction(8, 2), c1, c1 + 0}) == 2
+
+
 def test_poly_canonical_string():
     lam, c, c0, c1 = PARAM_POLYS.lam, PARAM_POLYS.c, PARAM_POLYS.c0, PARAM_POLYS.c1
     assert str(Poly.zero()) == "0"

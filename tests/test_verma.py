@@ -28,7 +28,7 @@ from w22.verma import (
 )
 
 from dense_kernel import action_rows, dense_nilpotency_degree, dense_nullspace
-from naive_action import naive_image
+from naive_action import naive_image, per_point_i0, per_point_i0_degree
 
 LAM, CC, C0, C1V = PARAM_POLYS.lam, PARAM_POLYS.c, PARAM_POLYS.c0, PARAM_POLYS.c1
 
@@ -148,6 +148,21 @@ class TestLevelBasis:
             level_basis(9)
         assert len(level_basis(9, max_level=9)) == 300
 
+    def test_bound_is_checked_before_the_cache(self):
+        before = verma._sorted_basis.cache_info()
+        for n, bound in ((-1, 8), (9, 8), (4, 3)):
+            with pytest.raises(LevelBoundError):
+                level_basis(n, bound)
+        assert verma._sorted_basis.cache_info() == before
+
+    def test_returned_list_is_the_callers(self):
+        basis = level_basis(3)
+        expected = list(basis)
+        basis.reverse()
+        basis.append(mono((9,)))
+        assert level_basis(3) == expected
+        assert level_basis(3) is not level_basis(3)
+
     def test_monomial_strings(self):
         assert str(mono()) == "1"
         assert str(mono((2, 1), (3,))) == "I(-2)I(-1)L(-3)"
@@ -158,6 +173,13 @@ class TestVermaVector:
         assert VermaVector(1) == VermaVector(2)
         assert hash(VermaVector(1)) == hash(VermaVector(2))
         assert len({VermaVector(1), VermaVector(2)}) == 1
+
+    def test_equal_vectors_hash_alike_across_coefficient_types(self):
+        b = mono((1,), (1,))
+        vectors = [VermaVector(2, {b: q}) for q in (4, Fraction(4), Poly.const(4))]
+        assert all(v == vectors[0] and hash(v) == hash(vectors[0]) for v in vectors)
+        assert len(set(vectors)) == 1
+        assert {v: k for k, v in enumerate(vectors)} == {vectors[0]: 2}
 
 
 class TestAction:
@@ -244,6 +266,7 @@ ORACLE_POINTS = [
     HWParams.symbolic(),
     HWParams(Poly.const(Fraction(3, 2)), Poly.const(-2), C0, C1V, PARAM_POLYS),
 ]
+ORACLE_IDS = ["locus2", "jordan2", "c0c1zero", "generic", "partial"]
 
 
 def evaluated_image(g, b, p):
@@ -252,7 +275,7 @@ def evaluated_image(g, b, p):
 
 
 class TestPointFreeTable:
-    @pytest.mark.parametrize("p", ORACLE_POINTS, ids=["locus2", "jordan2", "c0c1zero", "generic", "partial"])
+    @pytest.mark.parametrize("p", ORACLE_POINTS, ids=ORACLE_IDS)
     def test_evaluated_table_equals_per_point_recursion(self, p):
         for n in range(6):
             for b in level_basis(n):
@@ -595,6 +618,20 @@ class TestI0Jordan:
     @pytest.mark.parametrize("n", range(4))
     def test_degree_matches_dense_powers_symbolic(self, n):
         self.check_against_dense_powers(n, HWParams.symbolic())
+
+    @pytest.mark.parametrize("p", ORACLE_POINTS, ids=ORACLE_IDS)
+    def test_entries_equal_per_point_assembly(self, p):
+        for n in range(6):
+            entries = i0_matrix(n, p).entries
+            expected = per_point_i0(n, p)
+            assert [[(type(x), repr(x)) for x in row] for row in entries] == [
+                [(type(x), repr(x)) for x in row] for row in expected
+            ]
+            assert entries == expected
+
+    @pytest.mark.parametrize("n", range(DEFAULT_MAX_LEVEL + 1))
+    def test_degree_equals_per_point_iteration(self, n):
+        assert i0_matrix(n, ORACLE_POINTS[0]).nilpotency_degree == per_point_i0_degree(n, ORACLE_POINTS[0])
 
     @staticmethod
     def check_against_dense_powers(n, p):
