@@ -1,12 +1,7 @@
-"""Exact linear algebra: a sparse rational kernel and the determinant oracle.
+"""Exact linear algebra: a sparse rational kernel.
 
 :func:`nullspace` computes kernels over the rationals by sparse column
-elimination.  :func:`det` is fraction-free Bareiss elimination, which only
-ever divides by earlier pivots; those divisions are exact in any integral
-domain, so it serves both the rational and the polynomial scalars.  No
-package code path calls it: ``verma.shapovalov_det`` is a closed product,
-and the tests use :func:`det` on the full Gram matrix as its independent
-oracle.
+elimination.
 """
 
 from __future__ import annotations
@@ -16,31 +11,7 @@ from math import gcd
 
 from .algebra import _accumulate
 
-__all__ = ["det", "nullspace"]
-
-
-def det(rows, ring):
-    """Determinant of a square matrix of ring elements (Bareiss)."""
-    n = len(rows)
-    if n == 0:
-        return ring.one
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = ring.one
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return ring.zero
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = ring.exact_div(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
-            a[i][k] = ring.zero
-        prev = a[k][k]
-    d = a[n - 1][n - 1]
-    return -d if sign < 0 else d
+__all__ = ["nullspace"]
 
 
 def _normalize(vec):

@@ -396,10 +396,6 @@ class RationalScalars:
     def format(value) -> str:
         return _decimal(str, _as_fraction(value))
 
-    @staticmethod
-    def exact_div(a, b) -> Fraction:
-        return _as_fraction(a) / _as_fraction(b)
-
 
 class PolynomialScalars:
     """Polynomials in (lambda, c, c0, c1) over Q (an integral domain)."""
@@ -426,10 +422,6 @@ class PolynomialScalars:
     @classmethod
     def format(cls, value) -> str:
         return str(cls.coerce(value))
-
-    @classmethod
-    def exact_div(cls, a, b) -> Poly:
-        return cls.coerce(a).exact_div(cls.coerce(b))
 
 
 QQ = RationalScalars()

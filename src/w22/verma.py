@@ -13,7 +13,8 @@ exactly the PBW normal words of U(n-), so a negative mode acts by
 basis word with the defining bracket until it hits the highest weight
 vector.  Only that meeting brings in a parameter, so the image of a basis
 monomial is affine in (lambda, c, c0, c1): it is built once as a point-free
-table and evaluated once per point.  Everything is exact, and works
+table and evaluated at the point of each call.  The contravariant form is
+built level by level from the levels below.  Everything is exact, and works
 identically over rational parameters and over the symbolic polynomial ring
 in (lambda, c, c0, c1).
 """
@@ -242,24 +243,6 @@ def _act_on_monomial(g: Generator, mono: BasisMonomial):
     return tuple(out.items())
 
 
-# The evaluated images at one point: generator -> monomial -> pairs.
-_memo_point: Optional[HWParams] = None
-_memo_images: dict = {}
-
-
-def _images_at(p: HWParams, g: Generator) -> dict:
-    """The memo of g's evaluated images at p.  It holds one point: another
-    HWParams object (compared with ``is``, so no point is hashed) replaces
-    it, so memory stays that of the last point however many are swept."""
-    global _memo_point, _memo_images
-    if p is not _memo_point:
-        _memo_point, _memo_images = p, {}
-    images = _memo_images.get(g)
-    if images is None:
-        images = _memo_images[g] = {}
-    return images
-
-
 def _evaluate(table, p: HWParams):
     """A point-free table at p, as (monomial, coeff) pairs without zeros."""
     out = {}
@@ -271,15 +254,10 @@ def _evaluate(table, p: HWParams):
 
 def act(g: Generator, w: VermaVector, p: HWParams) -> VermaVector:
     """The module action of one generator on a homogeneous vector."""
-    new_level = w.level - g.weight
-    images = _images_at(p, g)
     out = {}
     for mono, coef in w.terms.items():
-        pairs = images.get(mono)
-        if pairs is None:
-            pairs = images[mono] = _evaluate(_act_on_monomial(g, mono), p)
-        _accumulate(out, pairs, coef)
-    return VermaVector(max(new_level, 0), out)
+        _accumulate(out, _evaluate(_act_on_monomial(g, mono), p), coef)
+    return VermaVector(max(w.level - g.weight, 0), out)
 
 
 def act_element(x: LieElement, w: VermaVector, p: HWParams) -> VermaVector:
@@ -321,22 +299,35 @@ class GramMatrix:
         )
 
 
-def _pairing(row_word, col_vec: VermaVector, p: HWParams):
-    """<row at v, col_vec> via the transpose anti-involution, given the
-    row's word with every mode negated: its first letter acts first."""
-    vec = col_vec
-    for g in row_word:
-        vec = act(g, vec, p)
-    value = vec.terms.get(EMPTY_MONOMIAL, None)
-    return value if value is not None else p.ring.zero
-
-
 def gram_matrix(n: int, p: HWParams, max_level: int = DEFAULT_MAX_LEVEL) -> GramMatrix:
-    """Matrix of the contravariant form on level n in the canonical basis."""
+    """Matrix of the contravariant form on level n in the canonical basis.
+
+    The form is built level by level from ``<v, v> = 1``.  Split a basis
+    element as ``b = h t`` (:meth:`BasisMonomial.split_head`), h a negative
+    mode of level k; the anti-involution omega sends h to the positive mode
+    of the same kind, so ``<b v, w> = <t v, omega(h) w>``.  Row b is row t
+    of the level n - k form dotted with the image of each column under
+    omega(h), and each (positive mode, column) image is evaluated once per
+    level.  The lower levels live only for this call."""
     basis = level_basis(n, max_level)
-    units = [VermaVector(n, {b: Fraction(1)}) for b in basis]
-    rows = [tuple(Generator(g.kind, -g.index) for g in b.word()) for b in basis]
-    entries = [[_pairing(row, uj, p) for uj in units] for row in rows]
+    # The nonzero entries of the row of each basis element of levels <= n.
+    rows = {EMPTY_MONOMIAL: {EMPTY_MONOMIAL: Fraction(1)}}
+    for level in range(1, n + 1):
+        columns = _sorted_basis(level)
+        images = {}
+        for b in columns:
+            head, tail = b.split_head()
+            omega = Generator(head.kind, -head.index)
+            if omega not in images:
+                images[omega] = [_evaluate(_act_on_monomial(omega, w), p) for w in columns]
+            lower = rows[tail]
+            row = rows[b] = {}
+            for w, image in zip(columns, images[omega]):
+                x = sum(lower[m] * e for m, e in image if m in lower)
+                if x:
+                    row[w] = x
+    zero = p.ring.zero
+    entries = [[rows[b].get(w, zero) for w in basis] for b in basis]
     return GramMatrix(level=n, basis=basis, entries=entries)
 
 
@@ -351,9 +342,11 @@ def shapovalov_det(n: int, p: HWParams, max_level: int = DEFAULT_MAX_LEVEL):
     as a closed product: no Gram entry is computed and nothing is eliminated.
 
     Write ``(mu, nu)`` for the basis element ``I(-mu) L(-nu) v`` and pair
-    the row ``(mu, nu)`` with the colour-swapped column ``(nu, mu)``.
-    :func:`_pairing` applies omega(row) to a column ``(alpha, beta)``: the
-    positive modes ``I(mu_1) ... I(mu_a)`` act first, then ``L(nu_1) ...``.
+    the row ``(mu, nu)`` with the colour-swapped column ``(nu, mu)``.  The
+    entry is the coefficient of v in omega(row) applied to the column
+    ``(alpha, beta)``, where omega turns each mode of the row's word into
+    the positive mode of the same kind, and the leftmost acts first: the
+    positive modes ``I(mu_1) ... I(mu_a)``, then ``L(nu_1) ...``.
 
     I modes.  A positive ``I(j)`` commutes with every ``I(-k)`` and kills v,
     so every surviving term has met an ``L(-k)``, and ``[I(j), L(-k)]`` is

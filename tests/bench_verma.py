@@ -7,10 +7,10 @@ or ``singular_vectors`` at one level from 3 to 6.  Every round draws new
 points, so no work done at one point is reused at another, as in a sweep;
 only point-free work, such as the action tables, is built once, in the
 warm-up round.  Singular vectors are searched on the m = 1 and m = 2 loci,
-where the form degenerates and the nullspace is computed.  A single-point
-``gram_matrix(8)``, again at a new point per round, guards against
-evaluation work that grows with the number of ``act`` calls instead of the
-number of images.  The sweep-job round does at each of its 20 points what
+where the form degenerates and the nullspace is computed.  Single-point
+``gram_matrix`` rounds at levels 8 and 10, again at a new point per round,
+time the level recursion of the form, which builds every level below the
+one asked for.  The sweep-job round does at each of its 20 points what
 one job of the ``sweep`` workload of ``perfbench/`` does: the first
 degenerate level up to 5, the singular search there (or at level 5), and
 I(0) at a level from 1 to 3; three of the points lie on the m = 1 or 2
@@ -101,3 +101,13 @@ def test_gram_matrix_level_eight(benchmark):
     benchmark.pedantic(
         gram_matrix, setup=lambda: ((8, draw_points(rng, 1)[0]), {}), rounds=3, warmup_rounds=1
     )
+
+
+@pytest.mark.benchmark(group="gram level 10")
+def test_gram_matrix_level_ten(benchmark):
+    rng = random.Random(10)
+
+    def setup():
+        return (10, draw_points(rng, 1)[0]), {"max_level": 10}
+
+    benchmark.pedantic(gram_matrix, setup=setup, rounds=3, warmup_rounds=1)

@@ -8,6 +8,8 @@ target level as a dense matrix in the canonical bases.  Together they give
 the singular vectors the slow, obvious way; ``w22.linalg.nullspace`` on the
 sparse action images must give the same list.  ``dense_nilpotency_degree``
 finds the nilpotency degree of ``I(0) - c0`` by dense matrix powers.
+``det`` is fraction-free Bareiss elimination, the oracle for the closed-form
+``shapovalov_det`` on the full Gram matrix.
 """
 
 from fractions import Fraction
@@ -83,3 +85,30 @@ def dense_nilpotency_degree(entries, c0, ring, bound):
             for row in power
         ]
     return None
+
+
+def det(rows, ring):
+    """Determinant of a square matrix of ring elements (Bareiss).  It only
+    ever divides by an earlier pivot, which is exact in any integral domain:
+    ``/`` on rationals, ``Poly.exact_div`` on polynomials."""
+    n = len(rows)
+    if n == 0:
+        return ring.one
+    a = [list(r) for r in rows]
+    sign = 1
+    prev = ring.one
+    for k in range(n - 1):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return ring.zero
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                x = a[i][j] * a[k][k] - a[i][k] * a[k][j]
+                a[i][j] = x / prev if ring.is_field else ring.coerce(x).exact_div(prev)
+            a[i][k] = ring.zero
+        prev = a[k][k]
+    d = a[n - 1][n - 1]
+    return -d if sign < 0 else d

@@ -9,14 +9,18 @@ it per point; the evaluated images must equal these.
 ``per_point_i0`` and ``per_point_i0_degree`` assemble I(0) on a level at one
 point from ``act``, with no use of the point-free part of I(0) that
 ``i0_matrix`` reads from a per-level table.
+
+``pairing_gram`` assembles the Gram matrix by brute force, applying every
+row word letter by letter to every column unit, with none of the level
+recursion of ``gram_matrix``.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
-from w22.algebra import I, _accumulate, bracket_gen
+from w22.algebra import Generator, I, _accumulate, bracket_gen
 from w22.pbw import normal_order
-from w22.verma import EMPTY_MONOMIAL, BasisMonomial, VermaVector, act, level_basis
+from w22.verma import DEFAULT_MAX_LEVEL, EMPTY_MONOMIAL, BasisMonomial, VermaVector, act, level_basis
 
 
 @lru_cache(maxsize=None)
@@ -71,3 +75,22 @@ def per_point_i0_degree(n, p):
         if not vectors:
             return e
     return None
+
+
+def _pairing(row_word, col_vec, p):
+    """<row at v, col_vec> via the transpose anti-involution, given the
+    row's word with every mode negated: its first letter acts first."""
+    vec = col_vec
+    for g in row_word:
+        vec = act(g, vec, p)
+    value = vec.terms.get(EMPTY_MONOMIAL, None)
+    return value if value is not None else p.ring.zero
+
+
+def pairing_gram(n, p, max_level=DEFAULT_MAX_LEVEL):
+    """The entries of the level-n Gram matrix at p: each row word with its
+    modes negated (omega), paired with every ``Fraction(1)`` column unit."""
+    basis = level_basis(n, max_level)
+    units = [VermaVector(n, {b: Fraction(1)}) for b in basis]
+    rows = [tuple(Generator(g.kind, -g.index) for g in b.word()) for b in basis]
+    return [[_pairing(row, uj, p) for uj in units] for row in rows]

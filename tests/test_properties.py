@@ -5,7 +5,8 @@ never float or bool), the linear-combination axioms of Lie elements, U
 elements and Verma vectors, the point-free action table against the
 per-point recursion, the I(0) nilpotency degree against dense powers, the
 symmetry of the Gram matrix, the closed-form determinant against Bareiss on
-the full Gram matrix, the first degenerate level against the
+the full Gram matrix, the level recursion of the Gram matrix against the
+brute-force pairing, the first degenerate level against the
 irreducibility criterion and against the determinants, the singular-vector
 shortcut against the determinant, the sparse kernel against dense
 Gauss-Jordan, and the Poly ring."""
@@ -14,8 +15,8 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from dense_kernel import dense_nilpotency_degree, dense_nullspace
-from naive_action import naive_image
+from dense_kernel import dense_nilpotency_degree, dense_nullspace, det
+from naive_action import naive_image, pairing_gram
 from naive_rewriter import naive_normal_order
 from w22 import linalg, verma
 from w22.algebra import C, C1, I, L, LieElement, bracket, generator_window
@@ -171,7 +172,18 @@ def test_i0_degree_matches_dense_powers(n, p):
 @settings(derandomize=True, max_examples=10, deadline=None)
 @given(st.integers(0, 5), points)
 def test_closed_form_det_matches_full_bareiss(n, p):
-    assert shapovalov_det(n, p) == linalg.det(gram_matrix(n, p).entries, QQ)
+    assert shapovalov_det(n, p) == det(gram_matrix(n, p).entries, QQ)
+
+
+@derandomized_short
+@given(st.integers(0, 4), points)
+def test_gram_recursion_matches_pairing_assembly(n, p):
+    entries = gram_matrix(n, p).entries
+    expected = pairing_gram(n, p)
+    assert [[(type(x), repr(x)) for x in row] for row in entries] == [
+        [(type(x), repr(x)) for x in row] for row in expected
+    ]
+    assert entries == expected
 
 
 def locus_point(m, c1):

@@ -1,11 +1,13 @@
+import gc
 import hashlib
 import random
+import weakref
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from w22 import linalg, verma
+from w22 import verma
 from w22.algebra import C, C1, I, L, bracket, generator_window
 from w22.scalars import PARAM_POLYS, Poly
 from w22.verma import (
@@ -27,8 +29,8 @@ from w22.verma import (
     singular_vectors,
 )
 
-from dense_kernel import action_rows, dense_nilpotency_degree, dense_nullspace
-from naive_action import naive_image, per_point_i0, per_point_i0_degree
+from dense_kernel import action_rows, dense_nilpotency_degree, dense_nullspace, det
+from naive_action import naive_image, pairing_gram, per_point_i0, per_point_i0_degree
 
 LAM, CC, C0, C1V = PARAM_POLYS.lam, PARAM_POLYS.c, PARAM_POLYS.c0, PARAM_POLYS.c1
 
@@ -267,6 +269,12 @@ ORACLE_POINTS = [
     HWParams(Poly.const(Fraction(3, 2)), Poly.const(-2), C0, C1V, PARAM_POLYS),
 ]
 ORACLE_IDS = ["locus2", "jordan2", "c0c1zero", "generic", "partial"]
+DENSE_POINT = HWParams.rational(Fraction(1, 3), -2, Fraction(5, 7), 3)
+
+
+def typed(entries):
+    """A matrix as the type and repr of each entry."""
+    return [[(type(x), repr(x)) for x in row] for row in entries]
 
 
 def evaluated_image(g, b, p):
@@ -309,13 +317,18 @@ class TestPointFreeTable:
             if k == 0:
                 first = verma._act_on_monomial.cache_info().currsize
         assert verma._act_on_monomial.cache_info().currsize == first
-        assert verma._memo_point is points[-1]
-        held = {g: dict(images) for g, images in verma._memo_images.items()}
-        again = HWParams.rational(points[-1].lam, points[-1].c, points[-1].c0, points[-1].c1)
-        gram_matrix(5, again)
-        i0_matrix(5, again)
-        assert verma._memo_point is again
-        assert {g: dict(images) for g, images in verma._memo_images.items()} == held
+
+    def test_no_point_outlives_a_call(self):
+        # A new point on the m = 2 locus, so the singular search eliminates.
+        p = HWParams.rational(Fraction(7, 5), 3, 1, 8)
+        ref = weakref.ref(p)
+        gram_matrix(5, p)
+        assert singular_vectors(2, p)
+        i0_matrix(3, p)
+        act(L(1), vec(2, (mono((), (1, 1)), 1)), p)
+        del p
+        gc.collect()
+        assert ref() is None
 
     def test_hwparams_hash_follows_the_point(self):
         p, q = HWParams.rational(2, 1, 1, 8), HWParams.rational(2, 1, 1, 8)
@@ -351,6 +364,14 @@ class TestGram:
     @pytest.mark.parametrize("n", range(5))
     def test_symmetry_symbolic(self, n):
         assert gram_matrix(n, HWParams.symbolic()).is_symmetric()
+
+    @pytest.mark.parametrize("p", ORACLE_POINTS + [DENSE_POINT], ids=ORACLE_IDS + ["dense"])
+    def test_entries_equal_pairing_assembly(self, p):
+        for n in range(7 if p.ring.is_field else 5):
+            entries = gram_matrix(n, p).entries
+            expected = pairing_gram(n, p)
+            assert typed(entries) == typed(expected)
+            assert entries == expected
 
     def test_numeric_equals_symbolic_specialization(self):
         point = (Fraction(2), Fraction(-1, 3), Fraction(1, 2), Fraction(5))
@@ -431,7 +452,7 @@ class TestGramBlocks:
     @pytest.mark.parametrize("n", range(5))
     def test_block_product_equals_full_bareiss_symbolic(self, n):
         p = HWParams.symbolic()
-        assert shapovalov_det(n, p) == linalg.det(gram_matrix(n, p).entries, p.ring)
+        assert shapovalov_det(n, p) == det(gram_matrix(n, p).entries, p.ring)
 
     @pytest.mark.parametrize("n", range(7))
     def test_block_product_equals_full_bareiss_rational(self, n):
@@ -439,7 +460,7 @@ class TestGramBlocks:
         # degenerate there: one seeded point only.
         points = seeded_points(10 + n, 1) + (LOCUS_POINTS if n < 6 else [])
         for p in points:
-            assert shapovalov_det(n, p) == linalg.det(gram_matrix(n, p).entries, p.ring)
+            assert shapovalov_det(n, p) == det(gram_matrix(n, p).entries, p.ring)
 
     @pytest.mark.parametrize("n", [5, 6, 7, 9, 10])
     def test_symbolic_output_matches_recorded_digest(self, n):
@@ -624,9 +645,7 @@ class TestI0Jordan:
         for n in range(6):
             entries = i0_matrix(n, p).entries
             expected = per_point_i0(n, p)
-            assert [[(type(x), repr(x)) for x in row] for row in entries] == [
-                [(type(x), repr(x)) for x in row] for row in expected
-            ]
+            assert typed(entries) == typed(expected)
             assert entries == expected
 
     @pytest.mark.parametrize("n", range(DEFAULT_MAX_LEVEL + 1))
