@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import identities, realizations, verma
 from .algebra import IndexLimitError, jacobi_report
-from .scalars import PARAM_POLYS, QQ, DigitLimitError, parse_rational
+from .scalars import QQ, DigitLimitError, parse_rational
 from .verma import DEFAULT_MAX_LEVEL, HWParams
 
 __all__ = ["main", "build_parser"]
@@ -134,10 +134,6 @@ def _check_level(level: int, bound: int) -> None:
         raise UsageError(f"level {level} outside [0, {bound}]")
 
 
-def _scalar_ring(args):
-    return PARAM_POLYS if getattr(args, "symbolic", False) else QQ
-
-
 def _matrix_payload(level, basis, entries, ring):
     return {
         "level": level,
@@ -179,21 +175,17 @@ def _cmd_verma_dim(args) -> tuple[int, str]:
 
 
 def _cmd_gram(args) -> tuple[int, str]:
-    bound = _max_level()
-    _check_level(args.level, bound)
-    ring = _scalar_ring(args)
-    gram = verma.gram_matrix(args.level, _params(args), bound)
+    p = _params(args)
+    gram = verma.gram_matrix(args.level, p, _max_level())
     if args.format == "csv":
-        return 0, _matrix_csv(gram.entries, ring)
-    return 0, _emit(_matrix_payload(gram.level, gram.basis, gram.entries, ring))
+        return 0, _matrix_csv(gram.entries, p.ring)
+    return 0, _emit(_matrix_payload(gram.level, gram.basis, gram.entries, p.ring))
 
 
 def _cmd_det(args) -> tuple[int, str]:
-    bound = _max_level()
-    _check_level(args.level, bound)
-    ring = _scalar_ring(args)
-    value = verma.shapovalov_det(args.level, _params(args), bound)
-    return 0, _emit({"det": ring.format(value)})
+    p = _params(args)
+    value = verma.shapovalov_det(args.level, p, _max_level())
+    return 0, _emit({"det": p.ring.format(value)})
 
 
 def _cmd_singular(args) -> tuple[int, str]:
@@ -201,16 +193,13 @@ def _cmd_singular(args) -> tuple[int, str]:
     _check_level(args.level, bound)
     if args.level < 1:
         raise UsageError("--level must be >= 1 for singular vectors")
-    found = verma.singular_vectors(args.level, _params(args), bound)
-    basis = verma.level_basis(args.level, bound)
-    vectors = []
-    for sv in found:
-        coeffs = {}
-        for mono in basis:
-            coef = sv.vector.terms.get(mono)
-            if coef:
-                coeffs[str(mono)] = QQ.format(coef)
-        vectors.append({"coefficients": coeffs, "i0_eigenvector": sv.i0_eigenvector})
+    vectors = [
+        {
+            "coefficients": {str(mono): QQ.format(coef) for mono, coef in sv.vector.terms.items()},
+            "i0_eigenvector": sv.i0_eigenvector,
+        }
+        for sv in verma.singular_vectors(args.level, _params(args), bound)
+    ]
     payload = {"level": args.level, "count": len(vectors), "vectors": vectors}
     return 0, _emit(payload)
 
@@ -221,17 +210,15 @@ def _cmd_criterion(args) -> tuple[int, str]:
 
 
 def _cmd_i0(args) -> tuple[int, str]:
-    bound = _max_level()
-    _check_level(args.level, bound)
-    ring = _scalar_ring(args)
-    report = verma.i0_matrix(args.level, _params(args), bound)
+    p = _params(args)
+    report = verma.i0_matrix(args.level, p, _max_level())
     if args.format == "csv":
-        return (0 if report.nilpotent_within_bound else 1), _matrix_csv(report.entries, ring)
-    payload = _matrix_payload(report.level, report.basis, report.entries, ring)
+        return 0, _matrix_csv(report.entries, p.ring)
+    payload = _matrix_payload(report.level, report.basis, report.entries, p.ring)
     payload["nilpotency_degree"] = report.nilpotency_degree
     payload["nilpotent_within_bound"] = report.nilpotent_within_bound
     payload["diagonalizable"] = report.diagonalizable
-    return (0 if report.nilpotent_within_bound else 1), _emit(payload)
+    return 0, _emit(payload)
 
 
 def _window_payload(report) -> dict:

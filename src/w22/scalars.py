@@ -289,18 +289,6 @@ class Poly:
                     rem.pop(exp, None)
         return Poly(out)
 
-    def substitute(self, lam, c, c0, c1) -> Fraction:
-        """Evaluate at exact rational parameter values."""
-        values = tuple(_as_fraction(v) for v in (lam, c, c0, c1))
-        total = Fraction(0)
-        for exp, coef in self._terms.items():
-            term = coef
-            for v, e in zip(values, exp):
-                if e:
-                    term *= v ** e
-            total += term
-        return total
-
     # -- canonical string form ----------------------------------------------
 
     def __str__(self) -> str:

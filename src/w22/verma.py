@@ -435,7 +435,8 @@ def singular_vectors(
     :func:`first_degenerate_level`), the result is ``[]``, found without
     any elimination.  Elsewhere it is the :func:`linalg.nullspace` of the
     images of the basis monomials, one sparse column each, keyed by
-    (generator, target monomial)."""
+    (generator, target monomial).  A kernel vector w is an I(0)
+    eigenvector exactly when ``N_n w = 0`` (see :func:`_i0_nilpotent`)."""
     if n < 1:
         raise ValueError("singular vectors live at positive levels")
     if not p.ring.is_field:
@@ -444,15 +445,18 @@ def singular_vectors(
     if first_degenerate_level(p, n) is None:
         return []
     basis = level_basis(n, max_level)
-    units = [VermaVector(n, {b: Fraction(1)}) for b in basis]
     gens = (L(1), L(2), I(1), I(2))
-    columns = [{(g, m): c for g in gens for m, c in act(g, u, p).terms.items()} for u in units]
-    kernel = linalg.nullspace(columns)
-    out = []
-    for vec in kernel:
-        w = VermaVector(n, dict(zip(basis, vec)))
-        out.append(SingularVector(vector=w, i0_eigenvector=not _i0_shifted(w)))
-    return out
+    columns = [
+        {(g, m): c for g in gens for m, c in _evaluate(_act_on_monomial(g, b), p)} for b in basis
+    ]
+    rows = _i0_nilpotent(n)
+    return [
+        SingularVector(
+            vector=VermaVector(n, dict(zip(basis, vec))),
+            i0_eigenvector=not any(sum(vec[j] * c for j, c in row) for row in rows),
+        )
+        for vec in linalg.nullspace(columns)
+    ]
 
 
 def is_reducible(c0, c1) -> tuple[bool, Optional[int]]:
@@ -492,61 +496,47 @@ class I0Report:
     level: int
     basis: list
     entries: list
-    nilpotency_degree: Optional[int]
+    nilpotency_degree: int
     nilpotent_within_bound: bool
     diagonalizable: bool
-
-
-def _i0_shifted(w: VermaVector) -> VermaVector:
-    """``(I(0) - c0) w`` at any point.  The c0 slot of the table of I(0) is
-    the identity (I(0) meets v only as c0) and every other term has the
-    slot 1 (``[I(0), L(-k)] = k I(-k)`` has no central part), so dropping
-    the c0 slot leaves the same integer operator at every point."""
-    i0 = I(0)
-    out = {}
-    for mono, coef in w.terms.items():
-        table = _act_on_monomial(i0, mono)
-        _accumulate(out, ((m, c) for (m, slot), c in table if slot != "c0"), coef)
-    return VermaVector(w.level, out)
 
 
 @lru_cache(maxsize=None)
 def _i0_nilpotent(n: int):
     """The point-free part of I(0) on level n: ``N_n = I(0) - c0`` as
     sparse rows in the canonical basis, row i holding the ``(j, entry)``
-    with a nonzero ``Fraction`` entry, and the least e <= n + 1 with
-    ``N_n^e = 0``, if any.
+    with a nonzero ``Fraction`` entry.
 
-    N_n has no diagonal entry: ``[I(0), L(-k)] = k I(-k)`` turns an L
-    factor into an I factor, so every term of ``N_n b`` has fewer L factors
-    than b."""
+    The c0 slot of the table of I(0) is the identity (I(0) meets v only as
+    c0) and every other term has the slot 1 (``[I(0), L(-k)] = -k I(-k)``
+    has no central part), so dropping the c0 slot leaves the same integer
+    operator at every point.  It has no diagonal entry: every term of
+    ``N_n b`` has fewer L factors than b (see :func:`i0_matrix`)."""
     basis = _sorted_basis(n)
     index = {b: i for i, b in enumerate(basis)}
-    columns = [_i0_shifted(VermaVector(n, {b: 1})) for b in basis]
     rows = [[] for _ in basis]
-    for j, w in enumerate(columns):
-        for m, c in w.terms.items():
-            rows[index[m]].append((j, Fraction(c)))
-    vectors = [w for w in columns if w]
-    degree = 1
-    while vectors and degree <= n:
-        vectors = [w for w in map(_i0_shifted, vectors) if w]
-        degree += 1
-    return tuple(map(tuple, rows)), None if vectors else degree
+    for j, b in enumerate(basis):
+        for (m, slot), c in _act_on_monomial(I(0), b):
+            if slot != "c0":
+                rows[index[m]].append((j, Fraction(c)))
+    return tuple(map(tuple, rows))
 
 
 def i0_matrix(n: int, p: HWParams, max_level: int = DEFAULT_MAX_LEVEL) -> I0Report:
-    """Matrix of I(0) on level n plus verification that I(0) - c0 is
-    nilpotent of degree at most n + 1 (and not diagonalizable for n >= 1).
+    """Matrix of I(0) on level n, ``c0 Id + N_n`` with the integer
+    operator ``N_n = I(0) - c0`` of :func:`_i0_nilpotent`, and its Jordan
+    summary: N_n is nilpotent of degree exactly n + 1, so I(0) is
+    diagonalizable only at level 0.
 
-    The degree is the first e at which applying ``w -> I(0) w - c0 w`` e
-    times sends every basis vector to zero.  Since I(0) - c0 is nilpotent,
-    I(0) is diagonalizable exactly when that degree is 1.  I(0) - c0 does
-    not depend on the point (see :func:`_i0_shifted`), so it and its degree
-    are found once per level, in integers, and the matrix at p is
-    ``c0 Id + N_n``."""
+    Proof.  N acts on U(n-) v as the derivation ``ad I(0)`` of U(n-), since
+    I(0) - c0 kills v: it sends ``L(-k)`` to ``-k I(-k)`` and kills
+    ``I(-k)``.  Straightening a word never raises its number of L letters,
+    because ``[L(-a), I(-b)]`` is a multiple of ``I(-a-b)``.  So N strictly
+    lowers the L count, which is at most n on level n, and ``N^(n+1) = 0``.
+    ``L(-1)`` and ``I(-1)`` commute, so ``N^n L(-1)^n v = n! (-I(-1))^n v``,
+    which is not 0, and the degree is not less than n + 1."""
     basis = level_basis(n, max_level)
-    rows, degree = _i0_nilpotent(n)
+    rows = _i0_nilpotent(n)
     zero = p.ring.zero
     # The entry types of the images of Fraction unit vectors: Fraction(1)
     # times c0 on the diagonal, and a Fraction or the ring's zero elsewhere.
@@ -562,9 +552,9 @@ def i0_matrix(n: int, p: HWParams, max_level: int = DEFAULT_MAX_LEVEL) -> I0Repo
         level=n,
         basis=basis,
         entries=entries,
-        nilpotency_degree=degree,
-        nilpotent_within_bound=degree is not None,
-        diagonalizable=degree == 1,
+        nilpotency_degree=n + 1,
+        nilpotent_within_bound=True,
+        diagonalizable=n == 0,
     )
 
 

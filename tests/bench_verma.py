@@ -7,7 +7,9 @@ or ``singular_vectors`` at one level from 3 to 6.  Every round draws new
 points, so no work done at one point is reused at another, as in a sweep;
 only point-free work, such as the action tables, is built once, in the
 warm-up round.  Singular vectors are searched on the m = 1 and m = 2 loci,
-where the form degenerates and the nullspace is computed.  Single-point
+where the form degenerates and the nullspace is computed, and at levels 4
+to 6 on the c0 = c1 = 0 locus, where some of the singular vectors found are
+not I(0) eigenvectors and every f(k) vanishes.  Single-point
 ``gram_matrix`` rounds at levels 8 and 10, again at a new point per round,
 time the level recursion of the form, which builds every level below the
 one asked for.  The sweep-job round does at each of its 20 points what
@@ -31,8 +33,9 @@ from w22.verma import HWParams, first_degenerate_level, gram_matrix, i0_matrix, 
 POINTS = 20
 
 
-def draw_points(rng, count, locus=False):
-    """New seeded points, on the m = 1 or 2 locus if asked."""
+def draw_points(rng, count, locus=False, zero=False):
+    """New seeded points, on the m = 1 or 2 locus or with c0 = c1 = 0 if
+    asked."""
 
     def q(nonzero=False):
         while True:
@@ -45,11 +48,13 @@ def draw_points(rng, count, locus=False):
         lam, c, c0, c1 = q(), q(), q(), q(nonzero=True)
         if locus:
             c0 = Fraction(rng.choice((1, 2)) ** 2 - 1, 24) * c1
+        if zero:
+            c0 = c1 = Fraction(0)
         points.append(HWParams.rational(lam, c, c0, c1))
     return points
 
 
-def sweep(benchmark, run, n, locus=False):
+def sweep(benchmark, run, n, **draw):
     rng = random.Random(n)
 
     def target(points):
@@ -57,7 +62,7 @@ def sweep(benchmark, run, n, locus=False):
             run(n, p)
 
     benchmark.pedantic(
-        target, setup=lambda: ((draw_points(rng, POINTS, locus),), {}), rounds=5, warmup_rounds=1
+        target, setup=lambda: ((draw_points(rng, POINTS, **draw),), {}), rounds=5, warmup_rounds=1
     )
 
 
@@ -77,6 +82,12 @@ def test_i0_matrix_sweep(benchmark, n):
 @pytest.mark.parametrize("n", range(3, 7))
 def test_singular_vectors_sweep(benchmark, n):
     sweep(benchmark, singular_vectors, n, locus=True)
+
+
+@pytest.mark.benchmark(group="singular sweep c0 = c1 = 0")
+@pytest.mark.parametrize("n", range(4, 7))
+def test_singular_vectors_zero_locus_sweep(benchmark, n):
+    sweep(benchmark, singular_vectors, n, zero=True)
 
 
 @pytest.mark.benchmark(group="sweep job")

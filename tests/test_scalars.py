@@ -102,9 +102,3 @@ def test_poly_exact_division():
         (lam * lam + 1).exact_div(lam + 1)
     with pytest.raises(ZeroDivisionError):
         lam.exact_div(Poly.zero())
-
-
-def test_poly_substitute():
-    lam, c, c0, c1 = PARAM_POLYS.lam, PARAM_POLYS.c, PARAM_POLYS.c0, PARAM_POLYS.c1
-    p = lam ** 2 - 3 * c0 * c1 + c
-    assert p.substitute(2, 1, Fraction(1, 3), 6) == 4 + 1 - 6

@@ -3,7 +3,7 @@ import hashlib
 import random
 import weakref
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -33,6 +33,14 @@ from dense_kernel import action_rows, dense_nilpotency_degree, dense_nullspace, 
 from naive_action import naive_image, pairing_gram, per_point_i0, per_point_i0_degree
 
 LAM, CC, C0, C1V = PARAM_POLYS.lam, PARAM_POLYS.c, PARAM_POLYS.c0, PARAM_POLYS.c1
+
+
+def substitute(poly, point):
+    """A Poly at exact rational values of (lam, c, c0, c1)."""
+    return sum(
+        (coef * prod(v ** e for v, e in zip(point, exp)) for exp, coef in poly.terms.items()),
+        Fraction(0),
+    )
 
 
 def mono(i_part=(), l_part=()):
@@ -379,7 +387,7 @@ class TestGram:
         num = gram_matrix(3, HWParams.rational(*point))
         for row_s, row_n in zip(sym.entries, num.entries):
             for s, x in zip(row_s, row_n):
-                s_val = s.substitute(*point) if isinstance(s, Poly) else Fraction(s)
+                s_val = substitute(s, point) if isinstance(s, Poly) else Fraction(s)
                 assert s_val == x
 
 
@@ -574,6 +582,24 @@ class TestSingularVectors:
             rows.extend(action_rows(g, n, p, DEFAULT_MAX_LEVEL))
         kernel = [VermaVector(n, dict(zip(basis, v))) for v in dense_nullspace(rows, len(basis))]
         assert [s.vector for s in singular_vectors(n, p)] == kernel
+
+    @pytest.mark.parametrize(
+        "params, n",
+        [((2, 1, 0, 0), n) for n in range(2, 7)] + [((2, 1, 0, 5), 3), ((Fraction(-9, 4), 0, 1, 8), 2)],
+    )
+    def test_i0_eigenvector_flag_matches_per_point_i0(self, params, n):
+        # Points where some singular vectors are I(0) eigenvectors and some
+        # are not, checked against I(0) assembled by ``act`` at the point.
+        p = HWParams.rational(*params)
+        basis = level_basis(n)
+        matrix = per_point_i0(n, p)
+        flags = set()
+        for sv in singular_vectors(n, p):
+            coords = [sv.vector.terms.get(b, Fraction(0)) for b in basis]
+            image = [sum(x * y for x, y in zip(row, coords)) for row in matrix]
+            assert sv.i0_eigenvector == (image == [p.c0 * x for x in coords])
+            flags.add(sv.i0_eigenvector)
+        assert flags == {True, False}
 
     def test_requires_rational_parameters(self):
         with pytest.raises(TypeError):
