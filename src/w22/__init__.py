@@ -60,8 +60,6 @@ from .verma import (
     SingularVector,
     VermaVector,
     act,
-    act_element,
-    apply_word,
     first_degenerate_level,
     gram_matrix,
     highest_weight_vector,

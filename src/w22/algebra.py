@@ -16,7 +16,8 @@ Symbols and constants are native values, because every rewriting step
 hashes, compares and multiplies them.  A :class:`Generator` is a tuple, so
 its hash, equality and canonical order are the built-in tuple ones.  The
 structure constants ``m - n`` are ``int``; only the central coefficients
-``(n^3 - n)/12`` are ``Fraction``.  The two mix exactly.
+``(n^3 - n)/12`` are ``Fraction``.  The two mix exactly.  A
+:class:`LieElement` is a :class:`~w22.scalars.Combination` of generators.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 
-from .scalars import Poly
+from .scalars import Combination, _accumulate
 
 __all__ = [
     "INDEX_LIMIT",
@@ -37,7 +38,6 @@ __all__ = [
     "I",
     "C",
     "C1",
-    "Combination",
     "LieElement",
     "bracket_gen",
     "bracket",
@@ -115,98 +115,6 @@ C = Generator("C")
 C1 = Generator("C1")
 
 
-_ONE = 1
-
-
-def _accumulate(out: dict, pairs, factor) -> None:
-    """Add ``factor`` times the (key, coef) ``pairs`` into ``out``, dropping
-    zeros: the one accumulation loop of every linear combination.  A
-    coefficient or factor 1 is not multiplied out (CPython shares one int 1,
-    so ``is`` finds it): it is the coefficient of a PBW insertion that was
-    already normal, the most common case, and the factor of a sum."""
-    for key, coef in pairs:
-        s = out.get(key, 0) + (factor if coef is _ONE else coef if factor is _ONE else factor * coef)
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-
-
-class Combination:
-    """A finite linear combination with exact coefficients: ``terms`` maps
-    each key to its coefficient and holds no zero coefficient.  A
-    combination is never mutated, so a sum with a zero operand returns the
-    other operand itself.  A scalar is an ``int``, ``Fraction`` or ``Poly``.
-
-    Subclasses supply the printing order of the keys (``_sorted_keys``) and
-    how a key prints (``_format``); one whose constructor takes more than
-    the terms also supplies ``_with``."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {key: coef for key, coef in terms.items() if coef} if terms else {}
-
-    def _with(self, terms) -> "Combination":
-        """A combination of the same kind with the given terms."""
-        return type(self)(terms)
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other):
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
-        out = dict(self.terms)
-        _accumulate(out, other.terms.items(), _ONE)
-        return self._with(out)
-
-    def __neg__(self):
-        return self._with({key: -coef for key, coef in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, (int, Fraction, Poly)):
-            return NotImplemented
-        if not scalar:
-            return self._with(None)
-        return self._with({key: scalar * coef for key, coef in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def _sorted_keys(self):
-        """The keys in printing order."""
-        return sorted(self.terms)
-
-    @staticmethod
-    def _format(key) -> str:
-        return str(key)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{self.terms[key]}*{self._format(key)}" for key in self._sorted_keys())
-
-    __repr__ = __str__
-
-
 class LieElement(Combination):
     """A finite linear combination of generators with exact coefficients."""
 
@@ -217,38 +125,25 @@ class LieElement(Combination):
         return cls({gen: coef})
 
 
-def _central_coeff(n: int) -> Fraction:
-    return Fraction(n**3 - n, 12)
-
-
 def _bracket_gen(a: Generator, b: Generator) -> LieElement:
-    """The bracket of two basis symbols, in canonical form."""
-    if a.kind in ("C", "C1") or b.kind in ("C", "C1"):
+    """The bracket of two basis symbols, in canonical form.  For X = L or I,
+    ``[L(n), X(m)] = (m - n) X(n+m) + delta(n, -m) (n^3 - n)/12 Z`` with Z the
+    central element C for X = L and C1 for X = I."""
+    if a.kind == "I" and b.kind == "L":
+        # [I(n), L(m)] = -[L(m), I(n)], from the body itself, so that what the
+        # memo stores never depends on what the module name is bound to.
+        return -_bracket_gen(b, a)
+    if a.kind != "L" or b.kind in ("C", "C1"):
         return LieElement()
     n, m = a.index, b.index
-    if a.kind == "I" and b.kind == "I":
-        return LieElement()
-    if a.kind == "L" and b.kind == "L":
-        out = {}
-        if m != n:
-            out[L(n + m)] = m - n
-        if n == -m:
-            cc = _central_coeff(n)
-            if cc:
-                out[C] = cc
-        return LieElement(out)
-    if a.kind == "L":  # [L(n), I(m)]
-        out = {}
-        if m != n:
-            out[I(n + m)] = m - n
-        if n == -m:
-            cc = _central_coeff(n)
-            if cc:
-                out[C1] = cc
-        return LieElement(out)
-    # [I(n), L(m)] = -[L(m), I(n)], from the body itself, so that what the
-    # memo stores never depends on what the module name is bound to.
-    return -_bracket_gen(b, a)
+    out = {}
+    if m != n:
+        out[Generator(b.kind, n + m)] = m - n
+    if n == -m:
+        cc = Fraction(n**3 - n, 12)
+        if cc:
+            out[C if b.kind == "L" else C1] = cc
+    return LieElement(out)
 
 
 bracket_gen = lru_cache(maxsize=None)(_bracket_gen)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .algebra import _accumulate
+from .scalars import _accumulate, _integer_terms
 
 __all__ = ["nullspace"]
 
@@ -17,19 +17,13 @@ __all__ = ["nullspace"]
 def _normalize(vec):
     """Scale a rational vector to a primitive integer vector with positive
     leading entry (deterministic representative of its line)."""
-    denom_lcm = 1
-    for x in vec:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in vec]
+    _, ints = _integer_terms(dict(enumerate(vec)))
     g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    lead = next((v for v in ints if v), 1)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return [Fraction(v) for v in ints]
+    for _, v in ints:
+        g = gcd(g, v)
+    if next(v for _, v in ints if v) < 0:
+        g = -g
+    return [Fraction(v // g) for _, v in ints]
 
 
 def nullspace(columns):

@@ -38,18 +38,8 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from operator import le
 
-from .algebra import (
-    _ONE,
-    C,
-    C1,
-    INDEX_LIMIT,
-    Combination,
-    Generator,
-    L,
-    LieElement,
-    _accumulate,
-    bracket_gen,
-)
+from .algebra import C, C1, INDEX_LIMIT, Generator, L, LieElement, bracket_gen
+from .scalars import _ONE, Combination, _accumulate
 
 __all__ = [
     "WORD_LIMIT",

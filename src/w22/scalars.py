@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic for the engine.
+"""Exact scalar arithmetic and the engine's one sparse type.
 
 Two coefficient domains are supported throughout the package: plain
 ``fractions.Fraction`` values, and :class:`Poly`, a sparse multivariate
@@ -6,6 +6,11 @@ polynomial over Q in the four fixed module parameters ``lambda``, ``c``,
 ``c0``, ``c1``.  There is no floating point anywhere; every number that
 enters or leaves the engine is an exact rational or a polynomial with
 rational coefficients.
+
+:class:`Combination` is the one sparse linear-combination type, and
+``_accumulate`` its one accumulation loop.  ``Poly`` is a combination of
+exponent 4-tuples; Lie elements (``algebra``), enveloping-algebra elements
+(``pbw``) and Verma vectors (``verma``) are the other subclasses.
 
 ``Poly`` multiplication is an integer kernel.  Each operand is written over
 one common denominator, the lcm of its coefficient denominators, with
@@ -30,6 +35,7 @@ from math import gcd
 __all__ = [
     "VARIABLES",
     "DigitLimitError",
+    "Combination",
     "Poly",
     "parse_rational",
     "RationalScalars",
@@ -106,20 +112,114 @@ def _integer_terms(terms):
     return den, [(exp, coef.numerator * (den // coef.denominator)) for exp, coef in terms.items()]
 
 
-class Poly:
-    """Sparse polynomial in (lambda, c, c0, c1) with ``Fraction`` coefficients.
+_ONE = 1
 
-    Terms are stored as a map from exponent 4-tuples to nonzero coefficients.
-    The canonical term order used for printing is descending lexicographic on
-    the exponent tuple, so string output is deterministic and round-trips
-    through :meth:`PolynomialScalars.parse`.
+
+def _accumulate(out: dict, pairs, factor) -> None:
+    """Add ``factor`` times the (key, coef) ``pairs`` into ``out``, dropping
+    zeros: the one accumulation loop of every linear combination.  A
+    coefficient or factor 1 is not multiplied out (CPython shares one int 1,
+    so ``is`` finds it): it is the coefficient of a PBW insertion that was
+    already normal, the most common case, and the factor of a sum."""
+    for key, coef in pairs:
+        s = out.get(key, 0) + (factor if coef is _ONE else coef if factor is _ONE else factor * coef)
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+
+
+class Combination:
+    """A finite linear combination with exact coefficients: ``terms`` maps
+    each key to its coefficient and holds no zero coefficient.  A
+    combination is never mutated, so a sum with a zero operand returns the
+    other operand itself.  A scalar is an ``int``, ``Fraction`` or ``Poly``.
+
+    Subclasses supply the printing order of the keys (``_sorted_keys``) and
+    how a key prints (``_format``); one whose constructor takes more than
+    the terms, or checks them, also supplies ``_with``."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {key: coef for key, coef in terms.items() if coef} if terms else {}
+
+    def _with(self, terms) -> "Combination":
+        """A combination of the same kind with the given terms."""
+        return type(self)(terms)
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __add__(self, other):
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        out = dict(self.terms)
+        _accumulate(out, other.terms.items(), _ONE)
+        return self._with(out)
+
+    def __neg__(self):
+        return self._with({key: -coef for key, coef in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, scalar):
+        if not isinstance(scalar, (int, Fraction, Poly)):
+            return NotImplemented
+        if not scalar:
+            return self._with(None)
+        return self._with({key: scalar * coef for key, coef in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def _sorted_keys(self):
+        """The keys in printing order."""
+        return sorted(self.terms)
+
+    @staticmethod
+    def _format(key) -> str:
+        return str(key)
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        return " + ".join(f"{self.terms[key]}*{self._format(key)}" for key in self._sorted_keys())
+
+    __repr__ = __str__
+
+
+class Poly(Combination):
+    """Sparse polynomial in (lambda, c, c0, c1) with ``Fraction`` coefficients:
+    a linear combination of exponent 4-tuples.
+
+    Every stored coefficient is a nonzero ``Fraction``.  The canonical term
+    order used for printing is descending lexicographic on the exponent
+    tuple, so string output is deterministic and round-trips through
+    :meth:`PolynomialScalars.parse`.  A constant equals, and hashes as, its
+    ``Fraction`` value.
 
     ``*`` multiplies in integers: both operands over their own common
     denominator, an ``int`` convolution of the numerators, and one reduced
     ``Fraction`` per nonzero output term (see the module docstring).
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_hash",)
 
     def __init__(self, terms=None):
         clean = {}
@@ -128,14 +228,18 @@ class Poly:
                 coef = _as_fraction(coef)
                 if coef:
                     clean[exp] = coef
-        self._terms = clean
+        self.terms = clean
         self._hash = None
 
-    # -- constructors ------------------------------------------------------
+    def _with(self, terms) -> "Poly":
+        """A Poly of terms whose coefficients are already nonzero
+        ``Fraction``s: sums, negations and products, with no second pass."""
+        poly = Poly.__new__(Poly)
+        poly.terms = terms
+        poly._hash = None
+        return poly
 
-    @classmethod
-    def zero(cls) -> "Poly":
-        return cls()
+    # -- constructors ------------------------------------------------------
 
     @classmethod
     def one(cls) -> "Poly":
@@ -153,23 +257,13 @@ class Poly:
 
     # -- basic queries -----------------------------------------------------
 
-    @property
-    def terms(self):
-        return self._terms
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def is_constant(self) -> bool:
-        return not self._terms or set(self._terms) == {_ZERO_EXP}
+        return not self.terms or set(self.terms) == {_ZERO_EXP}
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return self._terms.get(_ZERO_EXP, Fraction(0))
+        return self.terms.get(_ZERO_EXP, Fraction(0))
 
     # -- ring operations ---------------------------------------------------
 
@@ -185,38 +279,19 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self._terms)
-        for exp, coef in other._terms.items():
-            s = out.get(exp, Fraction(0)) + coef
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-        return Poly(out)
+        return Combination.__add__(self, other)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Poly({exp: -coef for exp, coef in self._terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        d1, n1 = _integer_terms(self._terms)
-        d2, n2 = _integer_terms(other._terms)
+        d1, n1 = _integer_terms(self.terms)
+        d2, n2 = _integer_terms(other.terms)
         out = {}
         get = out.get
         for (a0, a1, a2, a3), x in n1:
@@ -224,9 +299,7 @@ class Poly:
                 exp = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
                 out[exp] = get(exp, 0) + x * y
         den = d1 * d2
-        product = Poly()
-        product._terms = {exp: Fraction(num, den) for exp, num in out.items() if num}
-        return product
+        return self._with({exp: Fraction(num, den) for exp, num in out.items() if num})
 
     __rmul__ = __mul__
 
@@ -245,7 +318,7 @@ class Poly:
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self._terms == other._terms
+            return self.terms == other.terms
         if isinstance(other, (Fraction, int)):
             return self.is_constant() and self.constant_value() == other
         return NotImplemented
@@ -253,7 +326,7 @@ class Poly:
     def __hash__(self):
         # A constant equals its Fraction value, so it must hash as that value.
         if self._hash is None:
-            key = self.constant_value() if self.is_constant() else frozenset(self._terms.items())
+            key = self.constant_value() if self.is_constant() else frozenset(self.terms.items())
             self._hash = hash(key)
         return self._hash
 
@@ -264,15 +337,15 @@ class Poly:
         divisor = self._coerce(divisor)
         if divisor is None:
             raise TypeError("cannot divide by that operand")
-        if not divisor._terms:
+        if not divisor.terms:
             raise ZeroDivisionError("polynomial division by zero")
         if divisor.is_constant():
             inv = 1 / divisor.constant_value()
-            return Poly({e: c * inv for e, c in self._terms.items()})
-        rem = dict(self._terms)
+            return Poly({e: c * inv for e, c in self.terms.items()})
+        rem = dict(self.terms)
         out = {}
-        dlead = max(divisor._terms)
-        dcoef = divisor._terms[dlead]
+        dlead = max(divisor.terms)
+        dcoef = divisor.terms[dlead]
         while rem:
             lead = max(rem)
             qexp = tuple(a - b for a, b in zip(lead, dlead))
@@ -280,23 +353,18 @@ class Poly:
                 raise ValueError("inexact polynomial division")
             qc = rem[lead] / dcoef
             out[qexp] = out.get(qexp, Fraction(0)) + qc
-            for dexp, dc in divisor._terms.items():
-                exp = tuple(a + b for a, b in zip(qexp, dexp))
-                s = rem.get(exp, Fraction(0)) - qc * dc
-                if s:
-                    rem[exp] = s
-                else:
-                    rem.pop(exp, None)
+            shifted = ((tuple(a + b for a, b in zip(qexp, dexp)), dc) for dexp, dc in divisor.terms.items())
+            _accumulate(rem, shifted, -qc)
         return Poly(out)
 
     # -- canonical string form ----------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self.terms:
             return "0"
         parts = []
-        for exp in sorted(self._terms, reverse=True):
-            coef = self._terms[exp]
+        for exp in sorted(self.terms, reverse=True):
+            coef = self.terms[exp]
             mono = "*".join(
                 name if e == 1 else f"{name}^{e}"
                 for name, e in zip(VARIABLES, exp)

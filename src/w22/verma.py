@@ -29,9 +29,9 @@ from math import factorial, isqrt
 from typing import NamedTuple, Optional
 
 from . import linalg
-from .algebra import _ONE, Combination, Generator, I, L, LieElement, _accumulate, bracket_gen
+from .algebra import Generator, I, L, bracket_gen
 from .pbw import normal_order
-from .scalars import PARAM_POLYS, QQ
+from .scalars import _ONE, PARAM_POLYS, QQ, Combination, _accumulate
 
 __all__ = [
     "DEFAULT_MAX_LEVEL",
@@ -44,8 +44,6 @@ __all__ = [
     "partition_pairs",
     "level_basis",
     "act",
-    "act_element",
-    "apply_word",
     "highest_weight_vector",
     "GramMatrix",
     "gram_matrix",
@@ -260,28 +258,6 @@ def act(g: Generator, w: VermaVector, p: HWParams) -> VermaVector:
     return VermaVector(max(w.level - g.weight, 0), out)
 
 
-def act_element(x: LieElement, w: VermaVector, p: HWParams) -> VermaVector:
-    """Linear extension of :func:`act` to algebra elements.
-
-    Only meaningful when every term of x has the same weight (otherwise the
-    result would not be homogeneous)."""
-    weights = {g.weight for g in x.terms}
-    if len(weights) > 1:
-        raise ValueError("cannot act by a mixed-weight element on one level")
-    level = w.level - (weights.pop() if weights else 0)
-    result = VermaVector(max(level, 0))
-    for g, coef in x.terms.items():
-        result = result + coef * act(g, w, p)
-    return result
-
-
-def apply_word(word, w: VermaVector, p: HWParams) -> VermaVector:
-    """Apply a product of generators, rightmost factor first."""
-    for g in reversed(tuple(word)):
-        w = act(g, w, p)
-    return w
-
-
 @dataclass
 class GramMatrix:
     """The contravariant form restricted to one level, in canonical order."""
@@ -289,14 +265,6 @@ class GramMatrix:
     level: int
     basis: list
     entries: list
-
-    def is_symmetric(self) -> bool:
-        n = len(self.basis)
-        return all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
 
 
 def gram_matrix(n: int, p: HWParams, max_level: int = DEFAULT_MAX_LEVEL) -> GramMatrix:

@@ -1,18 +1,20 @@
-"""Timing of ``Poly`` products on determinant-shaped operands, and of the
-symbolic determinant by level.
+"""Timing of ``Poly`` sums and products on determinant-shaped operands, and
+of the symbolic determinant by level.
 
     python3 -m pytest tests/bench_scalars.py
 
 The operands are the factors of the closed-form Shapovalov determinant:
 ``f(k) = -k(2c0 - (k^2-1)/12 c1)`` and its powers, whose coefficients are
 integers over a power of 12, and a rational constant times such a power.
-The determinant is timed at levels 4, 6, 8 and 9 (9 lies above the default
-level bound).  The suite does not collect this file (its name does not match
-``test_*.py``); it needs the pytest-benchmark plugin and is skipped without
-it.
+The sums and the negation run through the accumulation loop that ``Poly``
+shares with every ``Combination``.  The determinant is timed at levels 4, 6,
+8 and 9 (9 lies above the default level bound).  The suite does not collect
+this file (its name does not match ``test_*.py``); it needs the
+pytest-benchmark plugin and is skipped without it.
 """
 
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
 
@@ -42,6 +44,13 @@ def test_power_times_power(benchmark, e1, e2):
 @pytest.mark.parametrize("e", [1, 16])
 def test_constant_times_power(benchmark, e):
     benchmark(lambda x, y: x * y, Fraction(-35, 6), f(4) ** e)
+
+
+@pytest.mark.benchmark(group="poly sum")
+@pytest.mark.parametrize("op", ["x + y", "x - y", "-x"])
+def test_sum_of_powers(benchmark, op):
+    fn = {"x + y": add, "x - y": sub, "-x": lambda x, y: -x}[op]
+    benchmark(fn, f(2) ** 16, f(5) ** 16)
 
 
 @pytest.mark.benchmark(group="symbolic det")

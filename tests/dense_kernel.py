@@ -9,7 +9,8 @@ the singular vectors the slow, obvious way; ``w22.linalg.nullspace`` on the
 sparse action images must give the same list.  ``dense_nilpotency_degree``
 finds the nilpotency degree of ``I(0) - c0`` by dense matrix powers.
 ``det`` is fraction-free Bareiss elimination, the oracle for the closed-form
-``shapovalov_det`` on the full Gram matrix.
+``shapovalov_det`` on the full Gram matrix.  ``is_symmetric`` checks a
+square matrix against its transpose.
 """
 
 from fractions import Fraction
@@ -112,3 +113,9 @@ def det(rows, ring):
         prev = a[k][k]
     d = a[n - 1][n - 1]
     return -d if sign < 0 else d
+
+
+def is_symmetric(entries):
+    """Whether the square matrix ``entries`` equals its transpose."""
+    n = len(entries)
+    return all(entries[i][j] == entries[j][i] for i in range(n) for j in range(i + 1, n))

@@ -13,14 +13,40 @@ point from ``act``, with no use of the point-free part of I(0) that
 ``pairing_gram`` assembles the Gram matrix by brute force, applying every
 row word letter by letter to every column unit, with none of the level
 recursion of ``gram_matrix``.
+
+``act_element`` and ``apply_word`` extend ``act`` to algebra elements and
+to products of generators.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
-from w22.algebra import Generator, I, _accumulate, bracket_gen
+from w22.algebra import Generator, I, bracket_gen
 from w22.pbw import normal_order
+from w22.scalars import _accumulate
 from w22.verma import DEFAULT_MAX_LEVEL, EMPTY_MONOMIAL, BasisMonomial, VermaVector, act, level_basis
+
+
+def act_element(x, w, p):
+    """Linear extension of ``act`` to algebra elements.
+
+    Only meaningful when every term of x has the same weight (otherwise the
+    result would not be homogeneous)."""
+    weights = {g.weight for g in x.terms}
+    if len(weights) > 1:
+        raise ValueError("cannot act by a mixed-weight element on one level")
+    level = w.level - (weights.pop() if weights else 0)
+    result = VermaVector(max(level, 0))
+    for g, coef in x.terms.items():
+        result = result + coef * act(g, w, p)
+    return result
+
+
+def apply_word(word, w, p):
+    """Apply a product of generators, rightmost factor first."""
+    for g in reversed(tuple(word)):
+        w = act(g, w, p)
+    return w
 
 
 @lru_cache(maxsize=None)

@@ -2,20 +2,20 @@
 rewriter (on random words and on L blocks before commuting blocks), the
 omega anti-involution, exactness of every coefficient (int or Fraction,
 never float or bool), the linear-combination axioms of Lie elements, U
-elements and Verma vectors, the point-free action table against the
-per-point recursion, the I(0) nilpotency degree against dense powers, the
-symmetry of the Gram matrix, the closed-form determinant against Bareiss on
-the full Gram matrix, the level recursion of the Gram matrix against the
-brute-force pairing, the first degenerate level against the
-irreducibility criterion and against the determinants, the singular-vector
-shortcut against the determinant, the sparse kernel against dense
-Gauss-Jordan, and the Poly ring."""
+elements, Verma vectors and polynomials, the point-free action table
+against the per-point recursion, the I(0) nilpotency degree against dense
+powers, the symmetry of the Gram matrix, the closed-form determinant
+against Bareiss on the full Gram matrix, the level recursion of the Gram
+matrix against the brute-force pairing, the first degenerate level against
+the irreducibility criterion and against the determinants, the
+singular-vector shortcut against the determinant, the sparse kernel against
+dense Gauss-Jordan, and the Poly ring."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from dense_kernel import dense_nilpotency_degree, dense_nullspace, det
+from dense_kernel import dense_nilpotency_degree, dense_nullspace, det, is_symmetric
 from naive_action import naive_image, pairing_gram
 from naive_rewriter import naive_normal_order
 from w22 import linalg, verma
@@ -59,6 +59,9 @@ def ue_elements(max_len=3, max_terms=3):
 
 
 lie_elements = st.dictionaries(generators, rationals, max_size=4).map(LieElement)
+polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 4), rationals, max_size=3
+).map(Poly)
 
 
 def assert_exact(coefs):
@@ -127,6 +130,7 @@ combination_triples = (
     st.tuples(lie_elements, lie_elements, lie_elements)
     | st.tuples(ue_elements(), ue_elements(), ue_elements())
     | st.integers(0, 3).flatmap(lambda n: st.tuples(*[verma_vectors(n)] * 3))
+    | st.tuples(polys, polys, polys)
 )
 
 
@@ -153,7 +157,7 @@ points = st.tuples(rationals, rationals, rationals, rationals).map(lambda t: HWP
 @derandomized_short
 @given(st.integers(0, 4), points)
 def test_gram_matrix_is_symmetric(n, p):
-    assert gram_matrix(n, p).is_symmetric()
+    assert is_symmetric(gram_matrix(n, p).entries)
 
 
 @derandomized
@@ -264,11 +268,6 @@ def test_sparse_nullspace_matches_dense_gauss_jordan(matrix):
 
 # -- the Poly ring ----------------------------------------------------------
 
-polys = st.dictionaries(
-    st.tuples(*[st.integers(0, 2)] * 4), rationals, max_size=3
-).map(Poly)
-
-
 @derandomized_short
 @given(polys, polys, polys)
 def test_poly_ring_axioms(x, y, z):
@@ -279,6 +278,9 @@ def test_poly_ring_axioms(x, y, z):
     assert x * (y + z) == x * y + x * z
     assert x + zero == x and x * one == x and x * zero == zero
     assert x + (-x) == zero and x - y == x + (-y)
+    for result in (x + y, x - y, -x, x + 1, 2 - x):
+        assert isinstance(result, Poly)
+        assert all(type(c) is Fraction and c for c in result.terms.values())
 
 
 kernel_scalars = st.integers(-60, 60) | st.fractions(-60, 60, max_denominator=50)
