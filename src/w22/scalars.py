@@ -113,6 +113,7 @@ def _integer_terms(terms):
 
 
 _ONE = 1
+_MINUS_ONE = -1
 
 
 def _accumulate(out: dict, pairs, factor) -> None:
@@ -120,9 +121,18 @@ def _accumulate(out: dict, pairs, factor) -> None:
     zeros: the one accumulation loop of every linear combination.  A
     coefficient or factor 1 is not multiplied out (CPython shares one int 1,
     so ``is`` finds it): it is the coefficient of a PBW insertion that was
-    already normal, the most common case, and the factor of a sum."""
+    already normal, the most common case, and the factor of a sum.  A
+    factor -1, that of a difference, subtracts each coefficient."""
     for key, coef in pairs:
-        s = out.get(key, 0) + (factor if coef is _ONE else coef if factor is _ONE else factor * coef)
+        s = out.get(key, 0)
+        if coef is _ONE:
+            s += factor
+        elif factor is _ONE:
+            s += coef
+        elif factor is _MINUS_ONE:
+            s = s - coef if s else -coef
+        else:
+            s += factor * coef
         if s:
             out[key] = s
         else:
@@ -158,20 +168,25 @@ class Combination:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def __add__(self, other):
+    def _add(self, other, factor):
+        """``self + factor * other`` for ``factor`` 1 or -1, in one pass
+        over ``other``: the body of both ``+`` and ``-``."""
         if not other.terms:
             return self
         if not self.terms:
-            return other
+            return other if factor is _ONE else -other
         out = dict(self.terms)
-        _accumulate(out, other.terms.items(), _ONE)
+        _accumulate(out, other.terms.items(), factor)
         return self._with(out)
+
+    def __add__(self, other):
+        return self._add(other, _ONE)
+
+    def __sub__(self, other):
+        return self._add(other, _MINUS_ONE)
 
     def __neg__(self):
         return self._with({key: -coef for key, coef in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, Fraction, Poly)):
@@ -275,16 +290,17 @@ class Poly(Combination):
             return Poly.const(other)
         return None
 
-    def __add__(self, other):
+    def _add(self, other, factor):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Combination.__add__(self, other)
+        return Combination._add(self, other, factor)
 
-    __radd__ = __add__
+    __radd__ = Combination.__add__
 
     def __rsub__(self, other):
-        return -self + other
+        other = self._coerce(other)
+        return NotImplemented if other is None else other._add(self, _MINUS_ONE)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -387,27 +403,19 @@ class Poly(Combination):
 
 
 def _parse_poly(text: str) -> Poly:
-    """Parse the canonical polynomial string form emitted by ``str(Poly)``."""
+    """Parse the canonical polynomial string form emitted by ``str(Poly)``:
+    an optional sign, then nonempty terms separated by signs."""
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty polynomial literal")
-    result = Poly.zero()
-    i = 0
-    sign = 1
-    saw_term = False
-    while i < len(s):
-        if s[i] == "+":
-            sign, i = 1, i + 1
-        elif s[i] == "-":
-            sign, i = -1, i + 1
-        j = i
-        while j < len(s) and s[j] not in "+-":
-            j += 1
-        term = s[i:j]
-        i = j
+    pieces = re.split("([+-])", s)
+    # [sign, term, sign, term, ...], with "+" before an unsigned first term.
+    pieces[:1] = ["+", pieces[0]] if pieces[0] else []
+    terms = {}
+    for sign, term in zip(pieces[::2], pieces[1::2]):
         if not term:
             raise ValueError(f"malformed polynomial literal: {text!r}")
-        coef = Fraction(sign)
+        coef = Fraction(-1 if sign == "-" else 1)
         exps = [0, 0, 0, 0]
         for factor in term.split("*"):
             if not factor:
@@ -424,12 +432,9 @@ def _parse_poly(text: str) -> Poly:
                         raise ValueError(f"bad exponent in {text!r}")
                     e = int(power)
                 exps[_VAR_INDEX[name]] += e
-        result = result + Poly({tuple(exps): coef})
-        sign = 1
-        saw_term = True
-    if not saw_term:
-        raise ValueError(f"malformed polynomial literal: {text!r}")
-    return result
+        exp = tuple(exps)
+        terms[exp] = terms.get(exp, 0) + coef
+    return Poly(terms)
 
 
 class RationalScalars:

@@ -7,16 +7,16 @@ its basis is indexed by pairs of partitions (one for the I modes, one for the
 L modes) of total size n, matching the PBW words ``I(-j1)..I(-jr)
 L(-k1)..L(-ks) v``.
 
-The generator action is computed by straightening.  The basis words are
-exactly the PBW normal words of U(n-), so a negative mode acts by
-:func:`w22.pbw.normal_order`.  Any other generator is commuted through a
-basis word with the defining bracket until it hits the highest weight
-vector.  Only that meeting brings in a parameter, so the image of a basis
-monomial is affine in (lambda, c, c0, c1): it is built once as a point-free
-table and evaluated at the point of each call.  The contravariant form is
-built level by level from the levels below.  Everything is exact, and works
-identically over rational parameters and over the symbolic polynomial ring
-in (lambda, c, c0, c1).
+The generator action is computed by straightening, with one rule: g moves
+right through a basis word ``h t`` by ``g h t v = h (g t v) + [g, h] t v``.
+It stops where it meets the highest weight vector, or, for a negative mode,
+where ``g h t`` is already a PBW normal word, since the basis words are
+exactly the normal words of U(n-).  Only the meeting with v brings in a
+parameter, so the image of a basis monomial is affine in (lambda, c, c0,
+c1): it is built once as a point-free table and evaluated at the point of
+each call.  The contravariant form is built level by level from the levels
+below.  Everything is exact, and works identically over rational
+parameters and over the symbolic polynomial ring in (lambda, c, c0, c1).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from typing import NamedTuple, Optional
 
 from . import linalg
 from .algebra import Generator, I, L, bracket_gen
-from .pbw import normal_order
 from .scalars import _ONE, PARAM_POLYS, QQ, Combination, _accumulate
 
 __all__ = [
@@ -110,12 +109,6 @@ class BasisMonomial(NamedTuple):
             return I(-self.i_part[0]), BasisMonomial(self.i_part[1:], self.l_part)
         return L(-self.l_part[0]), BasisMonomial((), self.l_part[1:])
 
-    @classmethod
-    def of_word(cls, word) -> "BasisMonomial":
-        """Inverse of :meth:`word` on normal words in negative modes."""
-        i_part = tuple(-g.index for g in word if g.kind == "I")
-        return cls(i_part, tuple(-g.index for g in word if g.kind == "L"))
-
     def __str__(self) -> str:
         if not self.i_part and not self.l_part:
             return "1"
@@ -180,10 +173,10 @@ class VermaVector(Combination):
     def _with(self, terms) -> "VermaVector":
         return VermaVector(self.level, terms)
 
-    def __add__(self, other: "VermaVector") -> "VermaVector":
+    def _add(self, other: "VermaVector", factor) -> "VermaVector":
         if self.terms and other.terms and self.level != other.level:
             raise ValueError("cannot add vectors of different levels")
-        return Combination.__add__(self, other)
+        return Combination._add(self, other, factor)
 
     def _sorted_keys(self):
         return sorted(self.terms, reverse=True)
@@ -208,31 +201,27 @@ def _act_on_monomial(g: Generator, mono: BasisMonomial):
     coef) pairs: at a point the monomial's coordinate is the sum of coef
     times the slot's value (see :data:`SLOTS`).
 
-    A negative mode acts by normal ordering in U, which involves no
-    parameter.  Any other generator moves right through ``mono = h t`` by
-    ``g h t v = h (g t v) + [g, h] t v`` until it meets v, and only there
-    does a parameter enter.  One generator moves at a time, and the head h
-    is a negative mode, so ``h (g t v)`` keeps the slot of each term of
-    ``g t v``: every image is affine in the parameters."""
+    One rule, ``g h t v = h (g t v) + [g, h] t v`` for ``mono = h t``, moves
+    g right through the word, with two stopping points.  A central g is its
+    scalar, the slot c or c1.  Any other g stops when it meets v (0 for a
+    positive mode, lambda or c0 for L(0) or I(0)), or when it is a negative
+    mode with ``g <= h``, so that ``g h t`` is already a normal word: then g
+    goes to the front of its block.  Only the meeting with v brings in a
+    parameter.  The head h is a negative mode, whose images carry no
+    parameter, so ``h (g t v)`` keeps the slot of each term of ``g t v``:
+    every image is affine in the parameters."""
     kind, k = g.kind, g.index
-    if kind == "C":
-        return (((mono, "c"), 1),)
-    if kind == "C1":
-        return (((mono, "c1"), 1),)
-    if k < 0:
-        return tuple(
-            ((BasisMonomial.of_word(w), 1), c)
-            for w, c in normal_order((g,) + mono.word()).terms.items()
-        )
-    if kind == "L" and k == 0:
-        level = mono.level()
-        return (((mono, "lam"), 1),) + ((((mono, 1), -level),) if level else ())
-    if kind == "I" and not mono.l_part:
-        # I(k) commutes through the I block and meets v directly.
-        return (((mono, "c0"), 1),) if k == 0 else ()
-    if mono == EMPTY_MONOMIAL:
-        return ()
-    head, tail = mono.split_head()
+    if kind in ("C", "C1"):
+        return (((mono, kind.lower()), 1),)  # the slot "c" or "c1"
+    head, tail = mono.split_head() if mono != EMPTY_MONOMIAL else (None, None)
+    if head is None or k < 0 and g <= head:
+        if k > 0:
+            return ()
+        if k == 0:
+            return (((mono, "lam" if kind == "L" else "c0"), 1),)
+        if kind == "I":
+            return (((BasisMonomial((-k,) + mono.i_part, mono.l_part), 1), 1),)
+        return (((BasisMonomial(mono.i_part, (-k,) + mono.l_part), 1), 1),)
     out = {}
     for (m2, slot), s2 in _act_on_monomial(g, tail):
         _accumulate(out, (((m3, slot), c3) for (m3, _), c3 in _act_on_monomial(head, m2)), s2)

@@ -12,7 +12,9 @@ to 6 on the c0 = c1 = 0 locus, where some of the singular vectors found are
 not I(0) eigenvectors and every f(k) vanishes.  Single-point
 ``gram_matrix`` rounds at levels 8 and 10, again at a new point per round,
 time the level recursion of the form, which builds every level below the
-one asked for.  The sweep-job round does at each of its 20 points what
+one asked for.  The cold-table round at level 8 clears the action tables
+before each round, so it times their first build, which every other round
+leaves to its warm-up.  The sweep-job round does at each of its 20 points what
 one job of the ``sweep`` workload of ``perfbench/`` does: the first
 degenerate level up to 5, the singular search there (or at level 5), and
 I(0) at a level from 1 to 3; three of the points lie on the m = 1 or 2
@@ -28,6 +30,7 @@ import pytest
 
 pytest.importorskip("pytest_benchmark")
 
+from w22 import verma
 from w22.verma import HWParams, first_degenerate_level, gram_matrix, i0_matrix, singular_vectors
 
 POINTS = 20
@@ -112,6 +115,17 @@ def test_gram_matrix_level_eight(benchmark):
     benchmark.pedantic(
         gram_matrix, setup=lambda: ((8, draw_points(rng, 1)[0]), {}), rounds=3, warmup_rounds=1
     )
+
+
+@pytest.mark.benchmark(group="gram level 8, cold tables")
+def test_gram_matrix_level_eight_cold_tables(benchmark):
+    rng = random.Random(8)
+
+    def setup():
+        verma._act_on_monomial.cache_clear()
+        return (8, draw_points(rng, 1)[0]), {}
+
+    benchmark.pedantic(gram_matrix, setup=setup, rounds=3, warmup_rounds=1)
 
 
 @pytest.mark.benchmark(group="gram level 10")

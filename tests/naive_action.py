@@ -4,7 +4,9 @@ one parameter point, with the parameters' values in every coefficient.
 ``naive_act_on_monomial(g, mono, p)`` gives the coordinates of g acting on
 one basis monomial as (monomial, coeff) pairs.  It shares no table with
 ``w22.verma``, which builds every image once without a point and evaluates
-it per point; the evaluated images must equal these.
+it per point; the evaluated images must equal these.  A negative mode acts
+here by ``w22.pbw.normal_order``, a path ``w22.verma`` does not take, and
+L(0) and the I modes on an I-only monomial by their closed forms.
 
 ``per_point_i0`` and ``per_point_i0_degree`` assemble I(0) on a level at one
 point from ``act``, with no use of the point-free part of I(0) that
@@ -49,6 +51,11 @@ def apply_word(word, w, p):
     return w
 
 
+def _monomial(word):
+    """The basis monomial of a normal word in negative modes."""
+    return BasisMonomial(*(tuple(-x.index for x in word if x.kind == kind) for kind in ("I", "L")))
+
+
 @lru_cache(maxsize=None)
 def naive_act_on_monomial(g, mono, p):
     """A negative mode acts by normal ordering in U; any other generator
@@ -60,10 +67,7 @@ def naive_act_on_monomial(g, mono, p):
     if kind == "C1":
         return ((mono, p.c1),)
     if k < 0:
-        return tuple(
-            (BasisMonomial.of_word(w), c)
-            for w, c in normal_order((g,) + mono.word()).terms.items()
-        )
+        return tuple((_monomial(w), c) for w, c in normal_order((g,) + mono.word()).terms.items())
     if kind == "L" and k == 0:
         return ((mono, p.lam - mono.level()),)
     if kind == "I" and not mono.l_part:

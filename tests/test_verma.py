@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import operator
 import random
 import weakref
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 
 from w22 import verma
 from w22.algebra import C, C1, I, L, bracket, generator_window
+from w22.pbw import normal_order
 from w22.scalars import PARAM_POLYS, Poly
 from w22.verma import (
     DEFAULT_MAX_LEVEL,
@@ -196,6 +198,14 @@ class TestVermaVector:
         assert len(set(vectors)) == 1
         assert {v: k for k, v in enumerate(vectors)} == {vectors[0]: 2}
 
+    @pytest.mark.parametrize("op", [operator.add, operator.sub], ids=["add", "sub"])
+    def test_vectors_of_two_levels_do_not_combine(self, op):
+        v1, v2 = vec(1, (mono((1,)), 1)), vec(2, (mono((2,)), 1))
+        with pytest.raises(ValueError, match="different levels"):
+            op(v1, v2)
+        # A zero vector places no level, so it combines with any vector.
+        assert op(v1, VermaVector(2)) == v1
+
 
 class TestAction:
     def setup_method(self):
@@ -312,6 +322,16 @@ class TestPointFreeTable:
                         assert isinstance(m, BasisMonomial) and m.level() == n - g.weight
                         assert slot in verma.SLOTS
                         assert type(coef) in (int, Fraction) and coef
+
+    @pytest.mark.parametrize("n", range(6, DEFAULT_MAX_LEVEL + 1))
+    def test_negative_modes_stop_at_the_normal_word(self, n):
+        # The image of a basis word under a negative mode is its PBW normal
+        # form in U, with no parameter and integer coefficients.
+        for b in level_basis(n):
+            for g in [X(-k) for X in (L, I) for k in (1, 2, 3)]:
+                table = verma._act_on_monomial(g, b)
+                assert all(slot == 1 and type(c) is int for (_, slot), c in table), (g, b)
+                assert {m.word(): c for (m, _), c in table} == normal_order((g,) + b.word()).terms
 
     def test_i0_c0_slot_is_the_identity(self):
         # So I(0) - c0 is the slot-1 part of I(0)'s table at every point.
