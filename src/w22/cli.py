@@ -184,7 +184,14 @@ def _cmd_gram(args) -> tuple[int, str]:
 
 def _cmd_det(args) -> tuple[int, str]:
     p = _params(args)
-    value = verma.shapovalov_det(args.level, p, _max_level())
+    bound = _max_level()
+    if args.symbolic:
+        # At c0 = 1, c1 = 0 every f(k) is -2k, so the determinant there is the
+        # coefficient of the top power of c0 in the symbolic one, a term of the
+        # printed polynomial.  Formatting it first refuses a determinant
+        # beyond the digit limit before the polynomial is expanded.
+        QQ.format(verma.shapovalov_det(args.level, HWParams.rational(0, 0, 1, 0), bound))
+    value = verma.shapovalov_det(args.level, p, bound)
     return 0, _emit({"det": p.ring.format(value)})
 
 

@@ -17,14 +17,14 @@ into a normal word ``P W``.  It takes one of three cases:
   is placed by sorted insertion; only ``g W`` is rewritten further.
 * ``g = L(k)`` and ``P`` is empty: ``g h t`` is normal when ``g <= h``, and
   otherwise ``g h t = h (g t) + [g, h] t``, two insertions into shorter
-  words.  These insertions are memoised on (generator, Virasoro word) for
-  the length of one call, so a Virasoro word is rewritten once however many
-  blocks ``P`` stand before it.
+  words.  Each (generator, Virasoro word) table depends on no parameter
+  point, so it is built once per process: a Virasoro word is rewritten once
+  however many blocks ``P`` stand before it and however many calls meet it.
 
 Rewriting terminates and the normal form is unique (PBW), so the order in
 which inversions are rewritten does not matter.
 
-A word is a tuple of :class:`~w22.algebra.Generator` tuples, so memo keys
+A word is a tuple of :class:`~w22.algebra.Generator` tuples, so table keys
 and output words hash and compare in C.  Coefficients stay ``int`` until a
 central term brings in a ``Fraction``.
 
@@ -36,6 +36,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
+from functools import lru_cache
+from itertools import chain
 from operator import le
 
 from .algebra import C, C1, INDEX_LIMIT, Generator, L, LieElement, bracket_gen
@@ -101,7 +103,7 @@ def ue(x) -> UEElement:
     return UEElement({(): x})
 
 
-def _insert(g: Generator, word: Word, memo: dict) -> Iterable:
+def _insert(g: Generator, word: Word) -> Iterable:
     """``g`` times the normal word ``word``, as (normal word, coef) pairs.
 
     With ``word = P W`` (``P`` the letters before the first ``L``):
@@ -112,7 +114,8 @@ def _insert(g: Generator, word: Word, memo: dict) -> Iterable:
       ``P`` (times its multiplicity), ``P`` with one ``I(j)`` replaced by
       ``[L(k), I(j)]``, followed by ``W``, because ``ad L(k)`` is a
       derivation into the commuting block.
-    * ``g = L(k)``, ``P`` empty: ``g h t = h (g t) + [g, h] t``, memoised.
+    * ``g = L(k)``, ``P`` empty: the table :func:`_virasoro_table`, built
+      once per process.
     """
     if not word or g <= word[0]:
         return (((g,) + word, _ONE),)
@@ -124,7 +127,7 @@ def _insert(g: Generator, word: Word, memo: dict) -> Iterable:
         prefix, block = word[:p], word[p:]
         out = {}
         # The central terms of g W bring C letters; they go before P.
-        for w, c in _insert(g, block, memo):
+        for w, c in _insert(g, block):
             a = bisect_right(w, C)
             out[w[:a] + prefix + w[a:]] = c
         i = bisect_right(prefix, C1)
@@ -137,29 +140,48 @@ def _insert(g: Generator, word: Word, memo: dict) -> Iterable:
                 _accumulate(out, ((rest[:k] + (gen,) + rest[k:] + block, bc),), j - i)
             i = j
         return out.items()
-    key = (g, word)
-    hit = memo.get(key)
-    if hit is None:
-        h, tail = word[0], word[1:]
-        out = {}
-        for w, c in _insert(g, tail, memo):
-            _accumulate(out, _insert(h, w, memo), c)
-        for gen, bc in bracket_gen(g, h).terms.items():
-            _accumulate(out, _insert(gen, tail, memo), bc)
-        hit = memo[key] = tuple(out.items())
-    return hit
+    it = iter(_virasoro_table(g, word))
+    return zip(it, it)
+
+
+@lru_cache(maxsize=None)
+def _virasoro_table(g: Generator, word: Word) -> tuple:
+    """``g`` times the Virasoro word ``word``, for ``g > word[0]``, as the
+    flat tuple ``(w1, c1, w2, c2, ...)`` of normal words and coefficients.
+
+    ``g h t = h (g t) + [g, h] t`` for ``word = h t``: two insertions into
+    shorter words.  A table depends on no parameter point, so it is built
+    once per process and shared by every call and by every block ``P``
+    standing before the word.  ``cache_info()`` reads the number of tables
+    and ``cache_clear()`` drops them.  The flat tuple is the smallest
+    immutable store of the pairs, and each word in it is the one copy kept
+    in :data:`_WORDS`.
+    """
+    h, tail = word[0], word[1:]
+    out = {}
+    for w, c in _insert(g, tail):
+        _accumulate(out, _insert(h, w), c)
+    for gen, bc in bracket_gen(g, h).terms.items():
+        _accumulate(out, _insert(gen, tail), bc)
+    return tuple(chain.from_iterable(zip(map(_WORDS.setdefault, out, out), out.values())))
+
+
+#: One tuple per distinct word of the tables: a normal word reached from
+#: many (generator, word) keys is stored once.  It changes no value, so
+#: ``_virasoro_table.cache_clear()`` leaves it.
+_WORDS: dict = {}
 
 
 def _is_normal(word: Word) -> bool:
     return all(map(le, word, word[1:]))
 
 
-def _fold(word: Word, terms: dict, memo: dict) -> dict:
+def _fold(word: Word, terms: dict) -> dict:
     """``word`` times the normal-form ``terms``, rightmost letter first."""
     for g in reversed(word):
         step = {}
         for w, c in terms.items():
-            _accumulate(step, _insert(g, w, memo), c)
+            _accumulate(step, _insert(g, w), c)
         terms = step
     return terms
 
@@ -173,7 +195,7 @@ def normal_order(word) -> UEElement:
     word = tuple(word)
     if len(word) > WORD_LIMIT:
         raise WordLengthError(f"word of length {len(word)} exceeds bound {WORD_LIMIT}")
-    return UEElement(_fold(word, {(): _ONE}, {}))
+    return UEElement(_fold(word, {(): _ONE}))
 
 
 def multiply(u: UEElement, v: UEElement) -> UEElement:
@@ -185,15 +207,14 @@ def multiply(u: UEElement, v: UEElement) -> UEElement:
     n = u.max_word_length() + right_len
     if n > WORD_LIMIT:
         raise WordLengthError(f"product of length {n} exceeds bound {WORD_LIMIT}")
-    memo = {}
     right = v.terms
     if right_len > 1 and not all(map(_is_normal, right)):
         right = {}
         for word, coef in v.terms.items():
-            _accumulate(right, _fold(word, {(): _ONE}, memo).items(), coef)
+            _accumulate(right, _fold(word, {(): _ONE}).items(), coef)
     out = {}
     for word, coef in u.terms.items():
-        _accumulate(out, _fold(word, right, memo).items(), coef)
+        _accumulate(out, _fold(word, right).items(), coef)
     return UEElement(out)
 
 

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -292,6 +294,22 @@ class TestExitCodes:
         code, out, err = run(capsys, "det", "--level", "12", *_point("2", "1", "1", "0"))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and "decimal digits" in err
+
+    def test_unprintable_symbolic_determinant_is_refused_before_expansion(self, capsys, monkeypatch):
+        # Its c0^d coefficient alone has 5,061 digits; expanding the whole
+        # polynomial before refusing it took 86 s.
+        monkeypatch.setenv(cli.ENV_MAX_LEVEL, "12")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "det", "--level", "12", "--symbolic")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: a number with more than {sys.get_int_max_str_digits()} decimal digits "
+            "(the interpreter's int/str conversion limit, which w22 does not raise)\n"
+        )
+        assert run(capsys, "det", "--level", "13", "--symbolic") == (
+            2, "", "error: level 13 outside [0, 12]\n"
+        )
 
     def test_literal_beyond_digit_limit_is_a_usage_error(self, capsys):
         code, out, err = run(capsys, "criterion", "--c0", "7" * 5001, "--c1", "1")

@@ -5,6 +5,8 @@ from itertools import combinations_with_replacement
 import pytest
 
 from naive_rewriter import naive_normal_order
+from pbw_words import l6i6_words, mixed_words, reversed_word
+from w22 import pbw
 from w22.algebra import C, C1, I, L, bracket_gen, generator_window
 from w22.pbw import (
     WORD_LIMIT,
@@ -59,8 +61,8 @@ class TestNormalOrder:
 
     def test_confluence_of_strategies(self):
         rng = random.Random(2024)
-        for _ in range(200):
-            w = random_word(rng)
+        reversed_words = [reversed_word(n) for n in range(2, 9)]
+        for w in [random_word(rng) for _ in range(200)] + reversed_words:
             left = naive_normal_order(w, "leftmost")
             right = naive_normal_order(w, "rightmost")
             assert left == right == normal_order(w)
@@ -84,6 +86,49 @@ class TestNormalOrder:
             for b in generator_window(3):
                 diff = normal_order((a, b)) - normal_order((b, a))
                 assert diff == ue(bracket_gen(a, b))
+
+
+class TestPersistentTables:
+    """The Virasoro insertion tables live for the process, so no result may
+    depend on which tables an earlier call left behind."""
+
+    WORDS = [reversed_word(n) for n in range(2, 10)] + l6i6_words() + [
+        w for n in range(8, 11) for w in mixed_words(n)
+    ]
+
+    @staticmethod
+    def coefficients(words):
+        return [
+            (str(u), {w: (type(c), repr(c)) for w, c in u.terms.items()})
+            for u in map(normal_order, words)
+        ]
+
+    def test_results_do_not_depend_on_the_tables_built(self):
+        pbw._virasoro_table.cache_clear()
+        cold = self.coefficients(self.WORDS)
+        warm = self.coefficients(self.WORDS)
+        pbw._virasoro_table.cache_clear()
+        backwards = self.coefficients(self.WORDS[::-1])[::-1]
+        assert cold == warm == backwards
+
+    def test_each_word_is_stored_once(self):
+        letters = [L(n) for n in range(-2, 3)]
+        tables = [
+            pbw._virasoro_table(g, w)
+            for n in range(1, 4)
+            for w in combinations_with_replacement(letters, n)
+            for g in letters
+            if g > w[0]
+        ]
+        words = [w for table in tables for w in table[::2]]
+        assert len(set(map(id, words))) == len(set(words)) < len(words)
+
+    def test_returned_terms_are_the_callers_own(self):
+        for word in (reversed_word(6), l6i6_words()[0]):
+            first = normal_order(word)
+            expected = dict(first.terms)
+            first.terms.clear()
+            assert normal_order(word).terms == expected
 
 
 class TestMultiply:
