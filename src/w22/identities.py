@@ -128,7 +128,7 @@ def verify_identity(case: IdentityCase) -> IdentityResult:
 
 @lru_cache(maxsize=1)
 def load_corpus() -> tuple:
-    raw = resources.files("w22.data").joinpath("identity_corpus.json").read_text()
+    raw = (resources.files(__package__) / "data" / "identity_corpus.json").read_text()
     records = json.loads(raw)
     return tuple(
         IdentityCase(

@@ -1,7 +1,7 @@
-"""Exact linear algebra: a sparse rational kernel.
+"""Exact linear algebra: a fraction-free sparse kernel.
 
 :func:`nullspace` computes kernels over the rationals by sparse column
-elimination.
+elimination in integers.
 """
 
 from __future__ import annotations
@@ -9,46 +9,68 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .scalars import _accumulate, _integer_terms
+from .scalars import _accumulate
 
 __all__ = ["nullspace"]
 
 
-def _normalize(vec):
-    """Scale a rational vector to a primitive integer vector with positive
-    leading entry (deterministic representative of its line)."""
-    _, ints = _integer_terms(dict(enumerate(vec)))
-    g = 0
-    for _, v in ints:
-        g = gcd(g, v)
-    if next(v for _, v in ints if v) < 0:
+def _primitive(vec, combo, key):
+    """A reduced column and its combination divided by the gcd of all their
+    entries, signed so that the entry at ``key`` is positive."""
+    g = gcd(*vec.values(), *combo.values())
+    if vec[key] < 0:
         g = -g
-    return [Fraction(v // g) for _, v in ints]
+    if g == 1:
+        return vec, combo
+    return {k: x // g for k, x in vec.items()}, {i: x // g for i, x in combo.items()}
+
+
+def _normalize(combo, size):
+    """The combination as a primitive integer vector of ``size`` entries with
+    positive leading entry (deterministic representative of its line), as
+    ``Fraction``s."""
+    g = gcd(*combo.values())
+    if combo[min(combo)] < 0:
+        g = -g
+    return [Fraction(combo[i] // g) if i in combo else Fraction(0) for i in range(size)]
 
 
 def nullspace(columns):
     """Basis of the exact kernel of the matrix whose columns are the sparse
-    dicts ``key -> nonzero coefficient``, as from the reduced row echelon
-    form: one normalized vector per column that depends on the earlier ones.
-    Each independent column is kept scaled to 1 at its pivot, its least key,
-    with the combination of columns it stands for.  A new column is reduced
-    at its least key while that key is a pivot; what is left is zero or
+    dicts ``key -> nonzero coefficient``: for each column that depends on
+    the earlier ones, its unique relation to the earlier independent
+    columns, normalized.  This is the list that any exact elimination gives,
+    e.g. one free column at a time from the reduced row echelon form.
+
+    The columns are scaled by the common denominator of their entries, which
+    leaves the kernel unchanged, and eliminated in ints.  Each independent
+    column is kept with the combination of columns it stands for, the two
+    primitive together, with a positive pivot at its least key.  A new
+    column is reduced at its least key while that key is a pivot, as
+    ``a vec - b pivot`` with ``a, b`` coprime; what is left is zero or
     independent."""
+    den = 1
+    for column in columns:
+        for x in column.values():
+            den = den // gcd(den, x.denominator) * x.denominator
     pivots = {}  # least key -> (reduced column, its combination of columns)
     basis = []
     for j, column in enumerate(columns):
-        vec = dict(column)
-        combo = {j: Fraction(1)}
+        vec = {k: x.numerator * (den // x.denominator) for k, x in column.items()}
+        combo = {j: 1}
         while vec:
             key = min(vec)
             if key not in pivots:
-                inv = 1 / Fraction(vec[key])
-                pivots[key] = ({k: c * inv for k, c in vec.items()}, {i: c * inv for i, c in combo.items()})
+                pivots[key] = _primitive(vec, combo, key)
                 break
             reduced, origin = pivots[key]
-            factor = -vec[key]
-            _accumulate(vec, reduced.items(), factor)
-            _accumulate(combo, origin.items(), factor)
+            g = gcd(reduced[key], vec[key])
+            a, b = reduced[key] // g, vec[key] // g
+            if a != 1:
+                vec = {k: a * x for k, x in vec.items()}
+                combo = {i: a * x for i, x in combo.items()}
+            _accumulate(vec, reduced.items(), -b)
+            _accumulate(combo, origin.items(), -b)
         else:
-            basis.append(_normalize([combo.get(i, 0) for i in range(len(columns))]))
+            basis.append(_normalize(combo, len(columns)))
     return basis

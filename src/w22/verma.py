@@ -13,10 +13,15 @@ It stops where it meets the highest weight vector, or, for a negative mode,
 where ``g h t`` is already a PBW normal word, since the basis words are
 exactly the normal words of U(n-).  Only the meeting with v brings in a
 parameter, so the image of a basis monomial is affine in (lambda, c, c0,
-c1): it is built once as a point-free table and evaluated at the point of
-each call.  The contravariant form is built level by level from the levels
-below.  Everything is exact, and works identically over rational
-parameters and over the symbolic polynomial ring in (lambda, c, c0, c1).
+c1): it is built once as a point-free table, with int coefficients on the
+slots 1, lambda, c/12, c0 and c1/12, and evaluated at the point of each
+call.  At a rational point the slot values are scaled by the lcm D of their
+denominators, so the work is in ints and each output entry is divided
+once; at a polynomial point D is 1.  The contravariant form is built level
+by level from the levels below.  Everything is exact, and works
+identically over rational parameters and over the symbolic polynomial ring
+in (lambda, c, c0, c1), apart from the singular search and the degeneracy
+scan, which take rational points only.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import NamedTuple, Optional
 
 from . import linalg
 from .algebra import Generator, I, L, bracket_gen
-from .scalars import _ONE, PARAM_POLYS, QQ, Combination, _accumulate
+from .scalars import _ONE, PARAM_POLYS, QQ, Combination, _accumulate, _integer_terms
 
 __all__ = [
     "DEFAULT_MAX_LEVEL",
@@ -190,29 +195,34 @@ def highest_weight_vector() -> VermaVector:
     return VermaVector(0, {EMPTY_MONOMIAL: Fraction(1)})
 
 
-#: The slots of a point-free table term: the constant 1, or the name of the
-#: HWParams field whose value multiplies the term's coefficient.
-SLOTS = (1, "lam", "c", "c0", "c1")
+#: The slots of a point-free table term: the constant 1, or the parameter
+#: whose value multiplies the term's coefficient.  The central slots hold
+#: c/12 and c1/12, so that every coefficient is an int.
+SLOTS = (1, "lam", "c/12", "c0", "c1/12")
+_CENTRAL_SLOTS = {"C": "c/12", "C1": "c1/12"}
+_TWELFTH = Fraction(1, 12)
 
 
 @lru_cache(maxsize=None)
 def _act_on_monomial(g: Generator, mono: BasisMonomial):
     """Point-free image of one basis monomial under g, as ((monomial, slot),
-    coef) pairs: at a point the monomial's coordinate is the sum of coef
-    times the slot's value (see :data:`SLOTS`).
+    coef) pairs with int coefs: at a point the monomial's coordinate is the
+    sum of coef times the slot's value (see :data:`SLOTS`).
 
     One rule, ``g h t v = h (g t v) + [g, h] t v`` for ``mono = h t``, moves
     g right through the word, with two stopping points.  A central g is its
-    scalar, the slot c or c1.  Any other g stops when it meets v (0 for a
-    positive mode, lambda or c0 for L(0) or I(0)), or when it is a negative
-    mode with ``g <= h``, so that ``g h t`` is already a normal word: then g
-    goes to the front of its block.  Only the meeting with v brings in a
-    parameter.  The head h is a negative mode, whose images carry no
-    parameter, so ``h (g t v)`` keeps the slot of each term of ``g t v``:
-    every image is affine in the parameters."""
+    scalar, 12 times the slot c/12 or c1/12.  Any other g stops when it
+    meets v (0 for a positive mode, lambda or c0 for L(0) or I(0)), or when
+    it is a negative mode with ``g <= h``, so that ``g h t`` is already a
+    normal word: then g goes to the front of its block.  Only the meeting
+    with v brings in a parameter.  The head h is a negative mode, whose
+    images carry no parameter, so ``h (g t v)`` keeps the slot of each term
+    of ``g t v``: every image is affine in the parameters.  The brackets
+    have int coefficients ``m - n``, apart from the central ``(k^3 - k)/12``,
+    which meets the 12 of a central table."""
     kind, k = g.kind, g.index
-    if kind in ("C", "C1"):
-        return (((mono, kind.lower()), 1),)  # the slot "c" or "c1"
+    if kind in _CENTRAL_SLOTS:
+        return (((mono, _CENTRAL_SLOTS[kind]), 12),)
     head, tail = mono.split_head() if mono != EMPTY_MONOMIAL else (None, None)
     if head is None or k < 0 and g <= head:
         if k > 0:
@@ -227,24 +237,50 @@ def _act_on_monomial(g: Generator, mono: BasisMonomial):
         _accumulate(out, (((m3, slot), c3) for (m3, _), c3 in _act_on_monomial(head, m2)), s2)
     for gen2, bc in bracket_gen(g, head).terms.items():
         _accumulate(out, _act_on_monomial(gen2, tail), bc)
-    return tuple(out.items())
+    # A central (k^3 - k)/12 times the 12 of a central table is an integer.
+    return tuple((key, c if type(c) is int else int(c)) for key, c in out.items())
 
 
-def _evaluate(table, p: HWParams):
-    """A point-free table at p, as (monomial, coeff) pairs without zeros."""
+def _scaled_slots(p: HWParams):
+    """The slot values of p times one common denominator, as ``(D,
+    values)``.  At a rational point D is the lcm of the denominators of
+    lambda, c/12, c0 and c1/12, so every value is an int and the evaluated
+    table is D times the image.  At a ``Poly`` point D is 1 and the values
+    are ring elements."""
+    params = dict(zip(SLOTS[1:], (p.lam, p.c * _TWELFTH, p.c0, p.c1 * _TWELFTH)))
+    if not p.ring.is_field:
+        return 1, {1: 1, **params}
+    d, scaled = _integer_terms(params)
+    return d, {1: d, **dict(scaled)}
+
+
+def _evaluate(table, values):
+    """A point-free table at the scaled slot ``values`` of
+    :func:`_scaled_slots`, as (monomial, coeff) pairs without zeros."""
     out = {}
-    _accumulate(
-        out, ((m, coef if slot == 1 else coef * getattr(p, slot)) for (m, slot), coef in table), _ONE
-    )
+    _accumulate(out, ((m, coef * values[slot]) for (m, slot), coef in table), _ONE)
     return tuple(out.items())
+
+
+def _unscale(p: HWParams, x, d):
+    """``x / d`` in the ring of p, with d from :func:`_scaled_slots`: one
+    ``Fraction`` at a rational point, and x itself at a ``Poly`` point,
+    where d is 1."""
+    return Fraction(x, d) if p.ring.is_field else x
+
+
+def _require_rational(p: HWParams, what: str) -> None:
+    if not p.ring.is_field:
+        raise TypeError(f"{what} requires rational parameters")
 
 
 def act(g: Generator, w: VermaVector, p: HWParams) -> VermaVector:
     """The module action of one generator on a homogeneous vector."""
+    d, values = _scaled_slots(p)
     out = {}
     for mono, coef in w.terms.items():
-        _accumulate(out, _evaluate(_act_on_monomial(g, mono), p), coef)
-    return VermaVector(max(w.level - g.weight, 0), out)
+        _accumulate(out, _evaluate(_act_on_monomial(g, mono), values), coef)
+    return VermaVector(max(w.level - g.weight, 0), {m: _unscale(p, x, d) for m, x in out.items()})
 
 
 @dataclass
@@ -265,26 +301,34 @@ def gram_matrix(n: int, p: HWParams, max_level: int = DEFAULT_MAX_LEVEL) -> Gram
     of the same kind, so ``<b v, w> = <t v, omega(h) w>``.  Row b is row t
     of the level n - k form dotted with the image of each column under
     omega(h), and each (positive mode, column) image is evaluated once per
-    level.  The lower levels live only for this call."""
+    level.  The images are D times the true ones (:func:`_scaled_slots`),
+    so row b is kept scaled by ``D^len(b)``, len(b) the number of factors
+    of b: in ints at a rational point, with one division per nonzero entry
+    at the end.  The lower levels live only for this call."""
     basis = level_basis(n, max_level)
-    # The nonzero entries of the row of each basis element of levels <= n.
-    rows = {EMPTY_MONOMIAL: {EMPTY_MONOMIAL: Fraction(1)}}
+    d, values = _scaled_slots(p)
+    # The nonzero entries of the row of each basis element of levels <= n,
+    # row b scaled by d ** len(b).  <v, v> is a Fraction at a Poly point.
+    rows = {EMPTY_MONOMIAL: {EMPTY_MONOMIAL: 1 if p.ring.is_field else Fraction(1)}}
     for level in range(1, n + 1):
         columns = _sorted_basis(level)
-        images = {}
+        images = {}  # omega -> {lower monomial m: [(column w, entry m of omega w)]}
         for b in columns:
             head, tail = b.split_head()
             omega = Generator(head.kind, -head.index)
             if omega not in images:
-                images[omega] = [_evaluate(_act_on_monomial(omega, w), p) for w in columns]
-            lower = rows[tail]
+                by_lower = images[omega] = {}
+                for w in columns:
+                    for m, e in _evaluate(_act_on_monomial(omega, w), values):
+                        by_lower.setdefault(m, []).append((w, e))
             row = rows[b] = {}
-            for w, image in zip(columns, images[omega]):
-                x = sum(lower[m] * e for m, e in image if m in lower)
-                if x:
-                    row[w] = x
+            for m, x in rows[tail].items():
+                _accumulate(row, images[omega].get(m, ()), x)
     zero = p.ring.zero
-    entries = [[rows[b].get(w, zero) for w in basis] for b in basis]
+    entries = []
+    for b in basis:
+        row, scale = rows[b], d ** (len(b.i_part) + len(b.l_part))
+        entries.append([_unscale(p, row[w], scale) if w in row else zero for w in basis])
     return GramMatrix(level=n, basis=basis, entries=entries)
 
 
@@ -392,28 +436,31 @@ def singular_vectors(
     :func:`first_degenerate_level`), the result is ``[]``, found without
     any elimination.  Elsewhere it is the :func:`linalg.nullspace` of the
     images of the basis monomials, one sparse column each, keyed by
-    (generator, target monomial).  A kernel vector w is an I(0)
-    eigenvector exactly when ``N_n w = 0`` (see :func:`_i0_nilpotent`)."""
+    (generator, target monomial).  The columns are the images times one
+    common D (:func:`_scaled_slots`), which leaves the kernel unchanged, so
+    they are int columns and the elimination is fraction-free.  The kernel
+    vectors are primitive integer vectors, and w is an I(0) eigenvector
+    exactly when the integer ``N_n w = 0`` (see :func:`_i0_nilpotent`)."""
     if n < 1:
         raise ValueError("singular vectors live at positive levels")
-    if not p.ring.is_field:
-        raise TypeError("singular-vector search requires rational parameters")
+    _require_rational(p, "singular-vector search")
     _check_level(n, max_level)
     if first_degenerate_level(p, n) is None:
         return []
     basis = level_basis(n, max_level)
     gens = (L(1), L(2), I(1), I(2))
+    _, values = _scaled_slots(p)
     columns = [
-        {(g, m): c for g in gens for m, c in _evaluate(_act_on_monomial(g, b), p)} for b in basis
+        {(g, m): x for g in gens for m, x in _evaluate(_act_on_monomial(g, b), values)}
+        for b in basis
     ]
     rows = _i0_nilpotent(n)
-    return [
-        SingularVector(
-            vector=VermaVector(n, dict(zip(basis, vec))),
-            i0_eigenvector=not any(sum(vec[j] * c for j, c in row) for row in rows),
-        )
-        for vec in linalg.nullspace(columns)
-    ]
+    found = []
+    for vec in linalg.nullspace(columns):
+        w = [x.numerator for x in vec]  # N_n w in ints: both are integer
+        eigen = not any(sum(w[j] * c.numerator for j, c in row) for row in rows)
+        found.append(SingularVector(VermaVector(n, dict(zip(basis, vec))), eigen))
+    return found
 
 
 def is_reducible(c0, c1) -> tuple[bool, Optional[int]]:
@@ -518,11 +565,15 @@ def i0_matrix(n: int, p: HWParams, max_level: int = DEFAULT_MAX_LEVEL) -> I0Repo
 def first_degenerate_level(
     p: HWParams, max_level: int = DEFAULT_MAX_LEVEL
 ) -> Optional[int]:
-    """Smallest level with a degenerate contravariant form, if any.
+    """Smallest level with a degenerate contravariant form, if any, at a
+    rational point.
 
     The level-n determinant is a product of powers of ``f(k)``, and ``f(k)``
     occurs for exactly the k <= n (``L(-k) L(-1)^{n-k} v`` is a basis
     element), so the form first degenerates at the smallest m with
-    ``f(m) = 0``, that is with ``(m^2 - 1) c1 = 24 c0``."""
-    t = 24 * p.c0
-    return next((m for m in range(1, max_level + 1) if (m * m - 1) * p.c1 == t), None)
+    ``f(m) = 0``, that is with ``(m^2 - 1) c1 = 24 c0``.  With ``c1 = a/b``
+    and ``c0 = c/d`` the scan tests ``(m^2 - 1) a d = 24 c b`` in ints."""
+    _require_rational(p, "degeneracy scan")
+    ad = p.c1.numerator * p.c0.denominator
+    cb = 24 * p.c0.numerator * p.c1.denominator
+    return next((m for m in range(1, max_level + 1) if (m * m - 1) * ad == cb), None)

@@ -13,11 +13,12 @@ pairs in which B was faster.
 
 Run as a script, it reports ``normal_order`` of the reversed words
 ``L(1)L(0)...`` of lengths 7-10, cold (the Virasoro insertion tables of
-``pbw`` cleared before each call, where the checkout keeps them) and warm.
+``pbw`` cleared before each call, where the checkout keeps them) and warm;
+``singular_vectors`` at level m on the locus of m, for m = 2 and 3, cold
+(the Verma tables cleared before each call) and warm; warm ``gram_matrix``
+at level 10 at (-9/4, 0, 1, 8); and warm ``run_corpus``.
 The pytest suite does not collect this file (its name does not match
-``test_*.py``).  A package loaded under another name resolves only relative
-imports to itself, so calls that load the identity corpus (which names the
-package ``w22``) are not timed this way.
+``test_*.py``).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import importlib.util
 import statistics
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 
@@ -75,6 +77,33 @@ def clear_tables(package):
     return None if table is None else table.cache_clear
 
 
+def clear_verma_tables(package):
+    """The untimed setup that clears the point-free Verma tables."""
+    return package.verma._act_on_monomial.cache_clear
+
+
+def report(label, a, b, call, pairs, setup=None):
+    """Print the summary of ``call(package)`` timed in both packages, each
+    call preceded by ``setup(package)`` where a setup is given, and else
+    after one untimed call in each package, so that its caches are warm."""
+    if setup is None:
+        try:
+            call(a)
+            call(b)
+        except Exception as exc:  # an older checkout may not run the call
+            print(f"{label:<12} not timed: {type(exc).__name__}: {exc}")
+            return
+    setups = (None, None) if setup is None else (setup(a), setup(b))
+    print(summary(label, *time_pairs(lambda: call(a), lambda: call(b), pairs, *setups)))
+
+
+def locus_point(package, m):
+    """A point on the locus of m, with dense (lambda, c1) as the sweep
+    draws them."""
+    c1 = Fraction(5, 7)
+    return package.verma.HWParams.rational(Fraction(1, 3), -2, Fraction(m * m - 1, 24) * c1, c1)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout_a")
@@ -84,19 +113,24 @@ def main(argv=None):
     a, b = load(args.checkout_a, "w22_a"), load(args.checkout_b, "w22_b")
     print(f"A = {args.checkout_a}\nB = {args.checkout_b}\nms per call: median [q1, q3]")
     for length in range(7, 11):
-        word_a, word_b = (tuple(p.L(1 - k) for k in range(length)) for p in (a, b))
+        words = {p: tuple(p.L(1 - k) for k in range(length)) for p in (a, b)}
 
-        def call_a():
-            a.pbw.normal_order(word_a)
+        def order(p):
+            p.pbw.normal_order(words[p])
 
-        def call_b():
-            b.pbw.normal_order(word_b)
+        report(f"cold len {length}", a, b, order, args.pairs, clear_tables)
+        report(f"warm len {length}", a, b, order, args.pairs)
+    for m in (2, 3):
+        points = {p: locus_point(p, m) for p in (a, b)}
 
-        cold = time_pairs(call_a, call_b, args.pairs, clear_tables(a), clear_tables(b))
-        print(summary(f"cold len {length}", *cold))
-        call_a()  # fill the tables before the warm pairs
-        call_b()
-        print(summary(f"warm len {length}", *time_pairs(call_a, call_b, args.pairs)))
+        def singular(p):
+            p.verma.singular_vectors(m, points[p])
+
+        report(f"cold sing {m}", a, b, singular, args.pairs, clear_verma_tables)
+        report(f"warm sing {m}", a, b, singular, args.pairs)
+    points = {p: p.verma.HWParams.rational(Fraction(-9, 4), 0, 1, 8) for p in (a, b)}
+    report("warm gram 10", a, b, lambda p: p.verma.gram_matrix(10, points[p], 10), args.pairs)
+    report("warm corpus", a, b, lambda p: p.identities.run_corpus(), args.pairs)
 
 
 if __name__ == "__main__":

@@ -4,9 +4,11 @@ Gauss-Jordan elimination over the rationals.
 ``dense_nullspace`` puts the matrix in reduced row echelon form and returns
 one normalized kernel vector per free column, in ascending free-column order.
 ``action_rows`` writes the action of one generator from level n to its
-target level as a dense matrix in the canonical bases.  Together they give
-the singular vectors the slow, obvious way; ``w22.linalg.nullspace`` on the
-sparse action images must give the same list.  ``dense_nilpotency_degree``
+target level as a dense matrix in the canonical bases, from the per-point
+recursion of ``naive_action``.  Together they give the singular vectors the
+slow, obvious way, sharing neither the point-free tables, nor the scaled
+evaluation, nor the normalization of ``w22``; ``w22.linalg.nullspace`` on
+the sparse action images must give the same list.  ``dense_nilpotency_degree``
 finds the nilpotency degree of ``I(0) - c0`` by dense matrix powers.
 ``det`` is fraction-free Bareiss elimination, the oracle for the closed-form
 ``shapovalov_det`` on the full Gram matrix.  ``is_symmetric`` checks a
@@ -14,13 +16,30 @@ square matrix against its transpose.
 """
 
 from fractions import Fraction
+from math import gcd
 
-from w22.linalg import _normalize
-from w22.verma import VermaVector, act, level_basis
+from naive_action import naive_image
+from w22.verma import level_basis
+
+
+def normalize(vec):
+    """A nonzero rational vector scaled to the primitive integer vector with
+    positive leading entry on its line, as Fractions."""
+    den = 1
+    for x in vec:
+        den = den * x.denominator // gcd(den, x.denominator)
+    ints = [x.numerator * (den // x.denominator) for x in vec]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return [Fraction(x // g) for x in ints]
 
 
 def action_rows(g, n, p, max_level):
-    """Rows of the matrix of act(g): level n -> level n - weight(g)."""
+    """Rows of the matrix of g: level n -> level n - weight(g), from the
+    per-point recursion of ``naive_action``."""
     src = level_basis(n, max_level)
     tgt_level = n - g.weight
     if tgt_level < 0:
@@ -29,9 +48,8 @@ def action_rows(g, n, p, max_level):
     index = {b: i for i, b in enumerate(tgt)}
     columns = []
     for b in src:
-        vec = act(g, VermaVector(n, {b: Fraction(1)}), p)
         col = [p.ring.zero] * len(tgt)
-        for mono, coef in vec.terms.items():
+        for mono, coef in naive_image(g, b, p).items():
             col[index[mono]] = coef
         columns.append(col)
     return [[columns[j][i] for j in range(len(src))] for i in range(len(tgt))]
@@ -68,7 +86,7 @@ def dense_nullspace(rows, ncols):
         vec[free] = Fraction(1)
         for row, col in pivots:
             vec[col] = -m[row][free]
-        basis.append(_normalize(vec))
+        basis.append(normalize(vec))
     return basis
 
 

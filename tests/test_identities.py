@@ -1,7 +1,12 @@
+import json
+import shutil
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import w22
+from ab_timing import load
 from w22.algebra import I, L
 from w22.identities import (
     IdentityCase,
@@ -88,6 +93,21 @@ class TestCorpus:
                 f"{result.case.name}: passed={result.passed}, "
                 f"residual={result.residual}"
             )
+
+    def test_copy_under_another_name_runs_the_corpus(self):
+        # As tests/ab_timing.py loads a checkout to time it.
+        copy = load(Path(w22.__file__).parents[2], "w22_corpus_copy")
+        results = copy.identities.run_corpus()
+        assert len(results) == len(load_corpus())
+        assert all(r.as_expected for r in results)
+
+    def test_copy_reads_the_corpus_of_its_own_package(self, tmp_path):
+        root = tmp_path / "src" / "w22"
+        shutil.copytree(Path(w22.__file__).parent, root, ignore=shutil.ignore_patterns("__pycache__"))
+        corpus = root / "data" / "identity_corpus.json"
+        corpus.write_text(json.dumps(json.loads(corpus.read_text())[:5]))
+        copy = load(tmp_path, "w22_trimmed_copy")
+        assert [c.name for c in copy.identities.load_corpus()] == [c.name for c in load_corpus()[:5]]
 
     def test_erratum_residuals_have_recorded_direction(self):
         by_name = {r.case.name: r for r in run_corpus()}

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from dense_kernel import dense_nilpotency_degree, dense_nullspace, det, is_symmetric
+from dense_kernel import action_rows, dense_nilpotency_degree, dense_nullspace, det, is_symmetric
 from naive_action import naive_image, pairing_gram
 from naive_rewriter import naive_normal_order
 from w22 import linalg, verma
@@ -23,6 +23,7 @@ from w22.algebra import C, C1, I, L, LieElement, bracket, generator_window
 from w22.pbw import UEElement, multiply, normal_order, omega
 from w22.scalars import PARAM_POLYS, QQ, Poly
 from w22.verma import (
+    DEFAULT_MAX_LEVEL,
     HWParams,
     VermaVector,
     act,
@@ -163,7 +164,11 @@ def test_gram_matrix_is_symmetric(n, p):
 @derandomized
 @given(points, generators, st.integers(0, 4).flatmap(lambda n: st.sampled_from(level_basis(n))))
 def test_point_free_table_matches_per_point_recursion(p, g, mono):
-    assert dict(verma._evaluate(verma._act_on_monomial(g, mono), p)) == naive_image(g, mono, p)
+    # The scaled image is an int vector, d times the image.
+    d, values = verma._scaled_slots(p)
+    image = verma._evaluate(verma._act_on_monomial(g, mono), values)
+    assert all(type(x) is int for _, x in image)
+    assert {m: Fraction(x, d) for m, x in image} == naive_image(g, mono, p)
 
 
 @derandomized_short
@@ -179,9 +184,17 @@ def test_closed_form_det_matches_full_bareiss(n, p):
     assert shapovalov_det(n, p) == det(gram_matrix(n, p).entries, QQ)
 
 
+# Points drawn as the sweep draws its dense ones.  Their common denominator
+# D (see verma._scaled_slots) runs to many digits, where ``rationals`` keeps
+# it at most 60.
+dense_rationals = st.builds(Fraction, st.integers(-100, 100), st.integers(1, 100))
+dense_points = st.tuples(*[dense_rationals] * 4).map(lambda t: HWParams.rational(*t))
+
+
 @derandomized_short
-@given(st.integers(0, 4), points)
-def test_gram_recursion_matches_pairing_assembly(n, p):
+@given(st.tuples(st.integers(0, 4), points) | st.tuples(st.integers(0, 3), dense_points))
+def test_gram_recursion_matches_pairing_assembly(level_point):
+    n, p = level_point
     entries = gram_matrix(n, p).entries
     expected = pairing_gram(n, p)
     assert [[(type(x), repr(x)) for x in row] for row in entries] == [
@@ -198,7 +211,9 @@ def locus_point(m, c1):
 @derandomized_short
 @given(
     st.tuples(rationals, rationals)
-    | st.builds(locus_point, st.integers(1, 10), rationals),
+    | st.builds(locus_point, st.integers(1, 10), rationals)
+    | st.tuples(dense_rationals, dense_rationals)
+    | st.builds(locus_point, st.integers(1, 10), dense_rationals),
     st.integers(1, 8),
 )
 def test_first_degenerate_level_is_the_criterion_witness(c0c1, top):
@@ -233,22 +248,40 @@ def test_singular_shortcut_follows_the_determinant(point, n):
         assert found
 
 
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(dense_rationals, dense_rationals, st.integers(1, 4), dense_rationals, st.integers(0, 1))
+def test_singular_vectors_match_dense_kernel_at_dense_points(lam, c, m, c1, extra):
+    """On the locus of m, at levels m and m + 1, against the kernel of the
+    dense action matrices of the per-point recursion."""
+    p = HWParams.rational(*on_locus(lam, c, m, c1))
+    n = m + extra
+    basis = level_basis(n)
+    rows = [row for g in (L(1), L(2), I(1), I(2)) for row in action_rows(g, n, p, DEFAULT_MAX_LEVEL)]
+    kernel = [VermaVector(n, dict(zip(basis, v))) for v in dense_nullspace(rows, len(basis))]
+    found = singular_vectors(n, p)
+    assert [sv.vector for sv in found] == kernel
+    assert found or extra
+    for sv in found:
+        shifted = act(I(0), sv.vector, p) - p.c0 * sv.vector
+        assert sv.i0_eigenvector == (not shifted)
+
+
 @st.composite
-def dependent_columns(draw):
-    """Up to 8 rational columns of height up to 8, each new or a zero,
-    repeated, scaled or summed copy of earlier ones."""
+def dependent_columns(draw, scalars=rationals):
+    """Up to 8 columns of height up to 8 with entries from ``scalars``, each
+    new or a zero, repeated, scaled or summed copy of earlier ones."""
     height = draw(st.integers(0, 8))
     columns = []
     for _ in range(draw(st.integers(0, 8))):
         kind = draw(st.sampled_from(["new", "zero", "repeat", "scale", "sum"])) if columns else "new"
         if kind == "new":
-            col = draw(st.lists(rationals, min_size=height, max_size=height))
+            col = draw(st.lists(scalars, min_size=height, max_size=height))
         elif kind == "zero":
             col = [0] * height
         elif kind == "repeat":
             col = list(draw(st.sampled_from(columns)))
         elif kind == "scale":
-            s = draw(rationals)
+            s = draw(scalars)
             col = [s * x for x in draw(st.sampled_from(columns))]
         else:
             a, b = draw(st.sampled_from(columns)), draw(st.sampled_from(columns))
@@ -257,13 +290,26 @@ def dependent_columns(draw):
     return height, columns
 
 
+# Integer entries well beyond 2^64, as at high levels and dense points.
+wide_integers = st.integers(-(2**80), 2**80)
+
+
 @derandomized
-@given(dependent_columns())
+@given(dependent_columns() | dependent_columns(wide_integers))
 def test_sparse_nullspace_matches_dense_gauss_jordan(matrix):
     height, columns = matrix
     rows = [[col[i] for col in columns] for i in range(height)]
     sparse = [{i: x for i, x in enumerate(col) if x} for col in columns]
     assert linalg.nullspace(sparse) == dense_nullspace(rows, len(columns))
+
+
+@derandomized
+@given(dependent_columns(wide_integers), wide_integers.filter(bool))
+def test_nullspace_ignores_a_common_scale(matrix, s):
+    _, columns = matrix
+    sparse = [{i: x for i, x in enumerate(col) if x} for col in columns]
+    scaled = [{i: s * x for i, x in col.items()} for col in sparse]
+    assert linalg.nullspace(scaled) == linalg.nullspace(sparse)
 
 
 # -- the Poly ring ----------------------------------------------------------
