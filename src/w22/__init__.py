@@ -21,8 +21,6 @@ from .algebra import (
     bracket_gen,
     generator_window,
     jacobi_report,
-    sigma,
-    weight,
 )
 from .identities import (
     IdentityCase,
@@ -38,7 +36,6 @@ from .pbw import (
     commutator,
     multiply,
     normal_order,
-    omega,
     ue,
 )
 from .realizations import (
@@ -62,11 +59,9 @@ from .verma import (
     act,
     first_degenerate_level,
     gram_matrix,
-    highest_weight_vector,
     i0_matrix,
     is_reducible,
     level_basis,
-    partition_pairs,
     partitions,
     shapovalov_det,
     singular_vectors,

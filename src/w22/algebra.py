@@ -41,8 +41,6 @@ __all__ = [
     "LieElement",
     "bracket_gen",
     "bracket",
-    "sigma",
-    "weight",
     "generator_window",
     "JacobiReport",
     "jacobi_report",
@@ -90,11 +88,6 @@ class Generator(tuple):
     # L(n) and I(n), 0 for C, C1) is the index.
     weight = index
 
-    @property
-    def sort_key(self) -> tuple[int, int]:
-        """Position in the canonical order C < C1 < I(n) asc < L(n) asc."""
-        return self[:2]
-
     def __str__(self) -> str:
         if self[0] < 2:
             return self[2]
@@ -119,10 +112,6 @@ class LieElement(Combination):
     """A finite linear combination of generators with exact coefficients."""
 
     __slots__ = ()
-
-    @classmethod
-    def of(cls, gen: Generator, coef=1) -> "LieElement":
-        return cls({gen: coef})
 
 
 def _bracket_gen(a: Generator, b: Generator) -> LieElement:
@@ -166,23 +155,6 @@ def bracket(x, y) -> LieElement:
         for b, cb in y:
             _accumulate(out, bracket_gen(a, b).terms.items(), ca * cb)
     return LieElement(out)
-
-
-def sigma(x) -> LieElement:
-    """The canonical involution: L(n) -> -L(-n), I(n) -> -I(-n), C -> -C,
-    C1 -> -C1.
-
-    It is an automorphism of the algebra (checked by the test suite on an
-    index window) and exchanges raising and lowering modes.
-    """
-    # A bijection on generators (central ones have index 0), so no two
-    # images collide.
-    return LieElement({Generator(g.kind, -g.index): -coef for g, coef in _terms(x)})
-
-
-def weight(g: Generator) -> int:
-    """The ad-L(0) weight of a basis symbol."""
-    return g.weight
 
 
 def generator_window(max_index: int) -> list[Generator]:

@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Optional
 
 from .algebra import C, C1, I, L
 from .pbw import UEElement, commutator, multiply, ue
@@ -37,7 +36,6 @@ class IdentityCase:
     expected: str
     source: str
     expect_pass: bool = True
-    note: Optional[str] = None
 
 
 @dataclass
@@ -91,7 +89,7 @@ def _eval(node) -> UEElement:
             out = multiply(out, _eval(a))
         return out
     if head == "add":
-        out = UEElement.zero()
+        out = UEElement()
         for a in args:
             out = out + _eval(a)
         return out
@@ -137,7 +135,6 @@ def load_corpus() -> tuple:
             expected=rec["expected"],
             source=rec["source"],
             expect_pass=rec.get("expect_pass", True),
-            note=rec.get("note"),
         )
         for rec in records
     )

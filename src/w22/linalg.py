@@ -1,12 +1,11 @@
 """Exact linear algebra: a fraction-free sparse kernel.
 
-:func:`nullspace` computes kernels over the rationals by sparse column
+:func:`nullspace` computes kernels of integer matrices by sparse column
 elimination in integers.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .scalars import _accumulate
@@ -27,36 +26,29 @@ def _primitive(vec, combo, key):
 
 def _normalize(combo, size):
     """The combination as a primitive integer vector of ``size`` entries with
-    positive leading entry (deterministic representative of its line), as
-    ``Fraction``s."""
+    positive leading entry (deterministic representative of its line)."""
     g = gcd(*combo.values())
     if combo[min(combo)] < 0:
         g = -g
-    return [Fraction(combo[i] // g) if i in combo else Fraction(0) for i in range(size)]
+    return [combo[i] // g if i in combo else 0 for i in range(size)]
 
 
 def nullspace(columns):
     """Basis of the exact kernel of the matrix whose columns are the sparse
-    dicts ``key -> nonzero coefficient``: for each column that depends on
-    the earlier ones, its unique relation to the earlier independent
-    columns, normalized.  This is the list that any exact elimination gives,
-    e.g. one free column at a time from the reduced row echelon form.
+    dicts ``key -> nonzero int``: for each column that depends on the
+    earlier ones, its unique relation to the earlier independent columns,
+    normalized.  This is the list that any exact elimination gives, e.g.
+    one free column at a time from the reduced row echelon form.
 
-    The columns are scaled by the common denominator of their entries, which
-    leaves the kernel unchanged, and eliminated in ints.  Each independent
-    column is kept with the combination of columns it stands for, the two
-    primitive together, with a positive pivot at its least key.  A new
-    column is reduced at its least key while that key is a pivot, as
-    ``a vec - b pivot`` with ``a, b`` coprime; what is left is zero or
-    independent."""
-    den = 1
-    for column in columns:
-        for x in column.values():
-            den = den // gcd(den, x.denominator) * x.denominator
+    The elimination is fraction-free.  Each independent column is kept
+    with the combination of columns it stands for, the two primitive
+    together, with a positive pivot at its least key.  A new column is
+    reduced at its least key while that key is a pivot, as ``a vec - b
+    pivot`` with ``a, b`` coprime; what is left is zero or independent."""
     pivots = {}  # least key -> (reduced column, its combination of columns)
     basis = []
     for j, column in enumerate(columns):
-        vec = {k: x.numerator * (den // x.denominator) for k, x in column.items()}
+        vec = dict(column)
         combo = {j: 1}
         while vec:
             key = min(vec)

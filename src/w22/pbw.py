@@ -50,7 +50,6 @@ __all__ = [
     "normal_order",
     "multiply",
     "commutator",
-    "omega",
     "ue",
 ]
 
@@ -71,10 +70,6 @@ class UEElement(Combination):
     """A linear combination of normal-form words (an element of U)."""
 
     __slots__ = ()
-
-    @classmethod
-    def one(cls) -> "UEElement":
-        return cls({(): 1})
 
     def __mul__(self, other):
         if isinstance(other, UEElement):
@@ -221,15 +216,3 @@ def multiply(u: UEElement, v: UEElement) -> UEElement:
 def commutator(u: UEElement, v: UEElement) -> UEElement:
     return multiply(u, v) - multiply(v, u)
 
-
-def omega(u: UEElement) -> UEElement:
-    """The transpose anti-involution: L(n) -> L(-n), I(n) -> I(-n), fixes C
-    and C1, and reverses products.
-
-    It is the adjoint used to define the contravariant form on Verma modules.
-    """
-    out = {}
-    for word, coef in u.terms.items():
-        image = tuple(Generator(g.kind, -g.index) for g in reversed(word))  # central: index 0
-        _accumulate(out, normal_order(image).terms.items(), coef)
-    return UEElement(out)

@@ -158,10 +158,6 @@ class Combination:
         """A combination of the same kind with the given terms."""
         return type(self)(terms)
 
-    @classmethod
-    def zero(cls):
-        return cls()
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -440,7 +436,6 @@ def _parse_poly(text: str) -> Poly:
 class RationalScalars:
     """The exact rational coefficient domain (a field)."""
 
-    name = "rational"
     is_field = True
     zero = Fraction(0)
     one = Fraction(1)
@@ -461,9 +456,8 @@ class RationalScalars:
 class PolynomialScalars:
     """Polynomials in (lambda, c, c0, c1) over Q (an integral domain)."""
 
-    name = "polynomial"
     is_field = False
-    zero = Poly.zero()
+    zero = Poly()
     one = Poly.one()
     lam = Poly.variable("lambda")
     c = Poly.variable("c")

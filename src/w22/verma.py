@@ -45,10 +45,8 @@ __all__ = [
     "EMPTY_MONOMIAL",
     "VermaVector",
     "partitions",
-    "partition_pairs",
     "level_basis",
     "act",
-    "highest_weight_vector",
     "GramMatrix",
     "gram_matrix",
     "shapovalov_det",
@@ -102,9 +100,6 @@ class BasisMonomial(NamedTuple):
     i_part: tuple
     l_part: tuple
 
-    def level(self) -> int:
-        return sum(self.i_part) + sum(self.l_part)
-
     def word(self):
         return tuple(I(-j) for j in self.i_part) + tuple(L(-k) for k in self.l_part)
 
@@ -134,14 +129,6 @@ def partitions(n: int, max_part: Optional[int] = None):
             yield (first,) + rest
 
 
-def partition_pairs(n: int):
-    """All two-colored partitions of n as (i_part, l_part) tuples."""
-    for s in range(n, -1, -1):
-        for ip in partitions(s):
-            for lp in partitions(n - s):
-                yield BasisMonomial(ip, lp)
-
-
 def level_basis(n: int, max_level: int = DEFAULT_MAX_LEVEL):
     """The canonical ordered basis of level n.
 
@@ -154,8 +141,12 @@ def level_basis(n: int, max_level: int = DEFAULT_MAX_LEVEL):
 
 @lru_cache(maxsize=None)
 def _sorted_basis(n: int) -> tuple:
-    """The level-n basis in canonical order, sorted once per level."""
-    return tuple(sorted(partition_pairs(n), reverse=True))
+    """The level-n basis, every two-coloured partition (i_part, l_part) of
+    n, in canonical order, sorted once per level."""
+    pairs = (
+        BasisMonomial(ip, lp) for s in range(n + 1) for ip in partitions(s) for lp in partitions(n - s)
+    )
+    return tuple(sorted(pairs, reverse=True))
 
 
 def _check_level(n: int, max_level: int) -> None:
@@ -189,10 +180,6 @@ class VermaVector(Combination):
     @staticmethod
     def _format(mono) -> str:
         return f"[{mono}]v"
-
-
-def highest_weight_vector() -> VermaVector:
-    return VermaVector(0, {EMPTY_MONOMIAL: Fraction(1)})
 
 
 #: The slots of a point-free table term: the constant 1, or the parameter
@@ -456,10 +443,10 @@ def singular_vectors(
     ]
     rows = _i0_nilpotent(n)
     found = []
-    for vec in linalg.nullspace(columns):
-        w = [x.numerator for x in vec]  # N_n w in ints: both are integer
-        eigen = not any(sum(w[j] * c.numerator for j, c in row) for row in rows)
-        found.append(SingularVector(VermaVector(n, dict(zip(basis, vec))), eigen))
+    for w in linalg.nullspace(columns):
+        eigen = not any(sum(w[j] * c.numerator for j, c in row) for row in rows)  # N_n is integer
+        vector = VermaVector(n, {b: Fraction(x) for b, x in zip(basis, w) if x})
+        found.append(SingularVector(vector, eigen))
     return found
 
 

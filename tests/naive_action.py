@@ -17,7 +17,7 @@ row word letter by letter to every column unit, with none of the level
 recursion of ``gram_matrix``.
 
 ``act_element`` and ``apply_word`` extend ``act`` to algebra elements and
-to products of generators.
+to products of generators, and ``level_of`` reads the level of a monomial.
 """
 
 from fractions import Fraction
@@ -51,6 +51,11 @@ def apply_word(word, w, p):
     return w
 
 
+def level_of(mono):
+    """The level of a basis monomial: the sum of its parts."""
+    return sum(mono.i_part) + sum(mono.l_part)
+
+
 def _monomial(word):
     """The basis monomial of a normal word in negative modes."""
     return BasisMonomial(*(tuple(-x.index for x in word if x.kind == kind) for kind in ("I", "L")))
@@ -69,7 +74,7 @@ def naive_act_on_monomial(g, mono, p):
     if k < 0:
         return tuple((_monomial(w), c) for w, c in normal_order((g,) + mono.word()).terms.items())
     if kind == "L" and k == 0:
-        return ((mono, p.lam - mono.level()),)
+        return ((mono, p.lam - level_of(mono)),)
     if kind == "I" and not mono.l_part:
         return ((mono, p.c0),) if k == 0 else ()
     if mono == EMPTY_MONOMIAL:

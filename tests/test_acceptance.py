@@ -312,7 +312,7 @@ def test_criterion_9_cli_contract(capsys, monkeypatch):
 
     def broken_corpus():
         case = IdentityCase("forced", "(L 1)", "(L 2)", "synthetic", True)
-        return [IdentityResult(case=case, passed=False, residual=UEElement.zero())]
+        return [IdentityResult(case=case, passed=False, residual=UEElement())]
 
     monkeypatch.setattr(cli.identities, "run_corpus", broken_corpus)
     code_violation, _ = run("suite")

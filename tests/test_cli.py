@@ -339,7 +339,7 @@ class TestExitCodes:
 
         def broken_corpus():
             case = IdentityCase("forced", "(L 1)", "(L 2)", "synthetic", True)
-            return [IdentityResult(case=case, passed=False, residual=UEElement.zero())]
+            return [IdentityResult(case=case, passed=False, residual=UEElement())]
 
         monkeypatch.setattr(cli.identities, "run_corpus", broken_corpus)
         code, out, _ = run(capsys, "suite")

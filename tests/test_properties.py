@@ -12,15 +12,17 @@ singular-vector shortcut against the determinant, the sparse kernel against
 dense Gauss-Jordan, and the Poly ring."""
 
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import given, settings, strategies as st
 
 from dense_kernel import action_rows, dense_nilpotency_degree, dense_nullspace, det, is_symmetric
+from involutions import omega
 from naive_action import naive_image, pairing_gram
 from naive_rewriter import naive_normal_order
 from w22 import linalg, verma
 from w22.algebra import C, C1, I, L, LieElement, bracket, generator_window
-from w22.pbw import UEElement, multiply, normal_order, omega
+from w22.pbw import UEElement, multiply, normal_order
 from w22.scalars import PARAM_POLYS, QQ, Poly
 from w22.verma import (
     DEFAULT_MAX_LEVEL,
@@ -299,8 +301,13 @@ wide_integers = st.integers(-(2**80), 2**80)
 def test_sparse_nullspace_matches_dense_gauss_jordan(matrix):
     height, columns = matrix
     rows = [[col[i] for col in columns] for i in range(height)]
-    sparse = [{i: x for i, x in enumerate(col) if x} for col in columns]
-    assert linalg.nullspace(sparse) == dense_nullspace(rows, len(columns))
+    # nullspace takes int columns: scaling by the common denominator keeps
+    # the kernel of the rational rows.
+    den = lcm(*(Fraction(x).denominator for col in columns for x in col))
+    sparse = [{i: int(x * den) for i, x in enumerate(col) if x} for col in columns]
+    kernel = linalg.nullspace(sparse)
+    assert kernel == dense_nullspace(rows, len(columns))
+    assert all(type(x) is int for vec in kernel for x in vec)
 
 
 @derandomized

@@ -21,7 +21,6 @@ from w22.verma import (
     act,
     first_degenerate_level,
     gram_matrix,
-    highest_weight_vector,
     i0_matrix,
     is_reducible,
     level_basis,
@@ -33,6 +32,7 @@ from dense_kernel import action_rows, dense_nilpotency_degree, dense_nullspace, 
 from naive_action import (
     act_element,
     apply_word,
+    level_of,
     naive_image,
     pairing_gram,
     per_point_i0,
@@ -158,7 +158,7 @@ class TestLevelBasis:
         for n in range(9):
             basis = level_basis(n, max_level=8)
             assert {(b.i_part, b.l_part) for b in basis} == _enumerate_pairs(n)
-            assert all(b.level() == n for b in basis)
+            assert all(level_of(b) == n for b in basis)
 
     def test_level_bound(self):
         with pytest.raises(LevelBoundError):
@@ -240,7 +240,7 @@ class TestAction:
         assert w == vec(4, (mono((2, 1), (1,)), 1))
 
     def test_positive_modes_annihilate_highest_weight_vector(self):
-        v = highest_weight_vector()
+        v = vec(0, (mono(), 1))
         for k in range(1, 5):
             assert act(L(k), v, self.p).is_zero()
             assert act(I(k), v, self.p).is_zero()
@@ -262,7 +262,7 @@ class TestAction:
                     if target < 0:
                         assert w.is_zero()
                     else:
-                        assert all(m.level() == target for m in w.terms)
+                        assert all(level_of(m) == target for m in w.terms)
 
     def test_representation_property_window(self):
         p = HWParams.rational(Fraction(1, 2), 3, Fraction(-2, 3), 5)
@@ -277,7 +277,7 @@ class TestAction:
 
     def test_apply_word_order(self):
         # L(1) L(-1) v = [L(1), L(-1)] v = -2 lambda v
-        w = apply_word((L(1), L(-1)), highest_weight_vector(), self.p)
+        w = apply_word((L(1), L(-1)), vec(0, (mono(), 1)), self.p)
         assert w == VermaVector(0, {mono(): -2 * LAM})
 
 
@@ -321,7 +321,7 @@ class TestPointFreeTable:
             for b in level_basis(n):
                 for g in generator_window(3):
                     for (m, slot), coef in verma._act_on_monomial(g, b):
-                        assert isinstance(m, BasisMonomial) and m.level() == n - g.weight
+                        assert isinstance(m, BasisMonomial) and level_of(m) == n - g.weight
                         assert slot in verma.SLOTS
                         assert type(coef) is int and coef
 
