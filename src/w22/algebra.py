@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from operator import itemgetter
 
 from .scalars import Combination, _accumulate
@@ -182,8 +181,12 @@ def jacobi_report(max_index: int) -> JacobiReport:
 
     The rotations ``(a, b, c)``, ``(b, c, a)``, ``(c, a, b)`` have the same
     cyclic sum term for term, so it is evaluated once per rotation class, at
-    the least of the three index triples (met first in the loop), and every
-    ordered triple is still counted and reported.
+    the least of its index triples: ``(i, j, k)`` with ``i`` the least
+    index and ``k > i`` unless ``i = j``.  Every ordered triple is still
+    counted, and each one whose class sum is nonzero is reported, in
+    product order.  Every bracket is read through ``bracket_gen``; the
+    inner ones once per pair of the window, into a table kept for this call
+    only, which holds the bracket's own terms and copies none.
 
     A nonempty violation list would mean the central terms fail to be a
     2-cocycle; the report is expected to be empty.
@@ -191,20 +194,20 @@ def jacobi_report(max_index: int) -> JacobiReport:
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
     window = generator_window(max_index)
-    report = JacobiReport(max_index=max_index)
-    nonzero = {}
-    for t in product(range(len(window)), repeat=3):
-        i, j, k = t
-        a, b, c = window[i], window[j], window[k]
-        least = min(t, (j, k, i), (k, i, j))
-        if least == t:
-            s = {}
-            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                for g, coef in bracket_gen(y, z).terms.items():
-                    _accumulate(s, bracket_gen(x, g).terms.items(), coef)
-            if s:
-                nonzero[t] = str(LieElement(s))
-        report.triples_checked += 1
-        if least in nonzero:
-            report.violations.append((str(a), str(b), str(c), nonzero[least]))
-    return report
+    n = len(window)
+    inner = [[bracket_gen(a, b).terms for b in window] for a in window]
+    nonzero = []
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(i if i == j else i + 1, n):
+                s = {}
+                for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                    a = window[x]
+                    for g, coef in inner[y][z].items():
+                        _accumulate(s, bracket_gen(a, g).terms.items(), coef)
+                if s:
+                    value = str(LieElement(s))
+                    nonzero += [(t, value) for t in {(i, j, k), (j, k, i), (k, i, j)}]
+    nonzero.sort()
+    violations = [(str(window[i]), str(window[j]), str(window[k]), v) for (i, j, k), v in nonzero]
+    return JacobiReport(max_index, n**3, violations)

@@ -13,9 +13,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from fractions import Fraction
 from importlib import resources
 
-from .algebra import C, C1, I, L
+from .algebra import C, C1, Generator, I, L
 from .pbw import UEElement, commutator, multiply, ue
 from .scalars import parse_rational
 
@@ -54,37 +55,63 @@ def _tokenize(text: str):
 
 
 def _parse_tokens(tokens, pos: int):
+    """The list or atom starting at ``tokens[pos]``, and the position after it."""
+    if pos == len(tokens):
+        raise ValueError("unbalanced parenthesis: the expression ends inside a list")
     tok = tokens[pos]
-    if tok == "(":
-        head = tokens[pos + 1]
-        args = []
-        pos += 2
-        while tokens[pos] != ")":
-            node, pos = _parse_tokens(tokens, pos)
-            args.append(node)
-        return (head, args), pos + 1
     if tok == ")":
-        raise ValueError("unbalanced parenthesis")
-    return tok, pos + 1
+        raise ValueError("unbalanced parenthesis: ')' with no list open")
+    if tok != "(":
+        return tok, pos + 1
+    pos += 1
+    if pos == len(tokens) or tokens[pos] == ")":
+        raise ValueError("unbalanced parenthesis: a list must start with an operator")
+    head = tokens[pos]
+    args = []
+    pos += 1
+    # Out of tokens before the ")", the call below reports the open list.
+    while pos == len(tokens) or tokens[pos] != ")":
+        node, pos = _parse_tokens(tokens, pos)
+        args.append(node)
+    return (head, args), pos + 1
 
 
-def _eval(node) -> UEElement:
+def _tree(node):
+    """The expression tree of a parsed list or atom: every leaf a
+    ``Generator`` or a ``Fraction``, every inner node ``(operator, args)``.
+    ``scale`` keeps its literal ``Fraction`` as its first argument."""
     if isinstance(node, str):
         if node == "C":
-            return ue(C)
+            return C
         if node == "C1":
-            return ue(C1)
-        return ue(parse_rational(node))
+            return C1
+        return parse_rational(node)
     head, args = node
     if head in ("L", "I"):
         (idx,) = args
-        gen = L(int(idx)) if head == "L" else I(int(idx))
-        return ue(gen)
+        if not isinstance(idx, str):
+            raise ValueError(f"({head} ...) expects an integer index")
+        return L(int(idx)) if head == "L" else I(int(idx))
+    if head == "scale":
+        q, a = args
+        if not isinstance(q, str):
+            raise ValueError("scale expects a rational literal first")
+        return head, (parse_rational(q), _tree(a))
+    if head not in ("br", "mul", "add", "sub", "neg"):
+        raise ValueError(f"unknown operator {head!r}")
+    return head, tuple(_tree(a) for a in args)
+
+
+def _eval(tree) -> UEElement:
+    """The normal form of an expression tree, rewritten afresh."""
+    if isinstance(tree, (Generator, Fraction)):
+        return ue(tree)
+    head, args = tree
     if head == "br":
         a, b = args
         return commutator(_eval(a), _eval(b))
     if head == "mul":
-        out = ue(parse_rational("1"))
+        out = ue(Fraction(1))
         for a in args:
             out = multiply(out, _eval(a))
         return out
@@ -99,29 +126,34 @@ def _eval(node) -> UEElement:
     if head == "neg":
         (a,) = args
         return -_eval(a)
-    if head == "scale":
-        q, a = args
-        if not isinstance(q, str):
-            raise ValueError("scale expects a rational literal first")
-        return parse_rational(q) * _eval(a)
-    raise ValueError(f"unknown operator {head!r}")
+    q, a = args  # scale
+    return q * _eval(a)
 
 
-def parse_expression(text: str) -> UEElement:
-    """Evaluate a prefix expression to a normal-form element of U."""
+def _parse(text: str):
+    """The expression tree of a prefix expression."""
     tokens = _tokenize(text)
     if not tokens:
         raise ValueError("empty expression")
     node, pos = _parse_tokens(tokens, 0)
     if pos != len(tokens):
         raise ValueError(f"trailing tokens in {text!r}")
-    return _eval(node)
+    return _tree(node)
+
+
+def parse_expression(text: str) -> UEElement:
+    """Evaluate a prefix expression to a normal-form element of U."""
+    return _eval(_parse(text))
+
+
+def _verify(case: IdentityCase, expression, expected) -> IdentityResult:
+    residual = _eval(expression) - _eval(expected)
+    return IdentityResult(case=case, passed=residual.is_zero(), residual=residual)
 
 
 def verify_identity(case: IdentityCase) -> IdentityResult:
     """Normal-order expression minus expected; pass iff the residual is 0."""
-    residual = parse_expression(case.expression) - parse_expression(case.expected)
-    return IdentityResult(case=case, passed=residual.is_zero(), residual=residual)
+    return _verify(case, _parse(case.expression), _parse(case.expected))
 
 
 @lru_cache(maxsize=1)
@@ -140,7 +172,16 @@ def load_corpus() -> tuple:
     )
 
 
+@lru_cache(maxsize=1)
+def _corpus_trees() -> tuple:
+    """``(case, expression tree, expected tree)`` for each packaged case,
+    parsed once per process.  The trees hold generators and literals only;
+    each run rewrites them afresh."""
+    return tuple((case, _parse(case.expression), _parse(case.expected)) for case in load_corpus())
+
+
 def run_corpus(cases=None) -> list[IdentityResult]:
+    """Verify ``cases``, or the packaged corpus from its parsed trees."""
     if cases is None:
-        cases = load_corpus()
+        return [_verify(*entry) for entry in _corpus_trees()]
     return [verify_identity(case) for case in cases]

@@ -6,11 +6,13 @@ So a normal word is a block ``P`` of commuting letters (``C``, ``C1``,
 ``I``) followed by a Virasoro word ``W`` of ``L`` letters: the ``I(n)`` span
 an abelian ideal, and ``[L(n), I(m)]`` lies in ``span{I, C1}``.
 
-All rewriting goes through one kernel, the insertion of a generator ``g``
-into a normal word ``P W``.  It takes one of three cases:
+A word is folded into normal form letter by letter, rightmost first.  A
+commuting letter ``C``, ``C1`` or ``I(k)`` commutes with every letter of
+``P`` and precedes every ``L``, so it is placed into ``P`` by sorted
+insertion, in every term at once.  An ``L`` letter goes through one kernel,
+the insertion of ``g = L(k)`` into a normal word ``P W``, which takes one of
+two cases:
 
-* ``g`` is ``C``, ``C1`` or ``I(k)``: it commutes with every letter of ``P``
-  and precedes every ``L``, so it is placed into ``P`` by sorted insertion.
 * ``g = L(k)`` and ``P`` is not empty: ``ad g`` is a derivation that maps
   ``P``'s letters into the abelian block, so ``g P W = P (g W) + sum over
   the letters p of P of (P with p replaced by [g, p]) W``.  Each ``[g, p]``
@@ -77,7 +79,7 @@ class UEElement(Combination):
         return Combination.__mul__(self, other)
 
     def max_word_length(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
+        return max(map(len, self.terms), default=0)
 
     def _sorted_keys(self):
         return sorted(self.terms, key=lambda word: (len(word), word))
@@ -98,13 +100,23 @@ def ue(x) -> UEElement:
     return UEElement({(): x})
 
 
+def _place(g: Generator, word: Word) -> Word:
+    """The commuting letter ``g`` (``C``, ``C1`` or ``I(k)``) placed into
+    the normal word ``word`` by sorted insertion.  For a fixed ``g`` this is
+    injective on normal words: removing one ``g`` gives ``word`` back."""
+    i = bisect_right(word, g)
+    return word[:i] + (g,) + word[i:]
+
+
 def _insert(g: Generator, word: Word) -> Iterable:
     """``g`` times the normal word ``word``, as (normal word, coef) pairs.
 
-    With ``word = P W`` (``P`` the letters before the first ``L``):
+    ``g`` is an ``L`` letter, or ``C`` in front of a Virasoro word (a
+    central term of :func:`_virasoro_table`); :func:`_fold` places the
+    other commuting letters itself.  With ``word = P W`` (``P`` the letters
+    before the first ``L``):
 
-    * ``g`` in ``C``, ``C1``, ``I``: one word, ``g`` placed into ``P``,
-      because the I modes commute and ``C``, ``C1`` are central.
+    * ``g <= word[0]``: ``g word`` is already normal.
     * ``g = L(k)``, ``P`` not empty: ``P (g W)`` plus, for each ``I(j)`` in
       ``P`` (times its multiplicity), ``P`` with one ``I(j)`` replaced by
       ``[L(k), I(j)]``, followed by ``W``, because ``ad L(k)`` is a
@@ -114,9 +126,6 @@ def _insert(g: Generator, word: Word) -> Iterable:
     """
     if not word or g <= word[0]:
         return (((g,) + word, _ONE),)
-    if g < _FIRST_L:
-        i = bisect_right(word, g)
-        return ((word[:i] + (g,) + word[i:], _ONE),)
     if word[0] < _FIRST_L:
         p = bisect_left(word, _FIRST_L)
         prefix, block = word[:p], word[p:]
@@ -131,8 +140,7 @@ def _insert(g: Generator, word: Word) -> Iterable:
             j = bisect_right(prefix, h, i)
             rest = prefix[:i] + prefix[i + 1:]
             for gen, bc in bracket_gen(g, h).terms.items():
-                k = bisect_right(rest, gen)
-                _accumulate(out, ((rest[:k] + (gen,) + rest[k:] + block, bc),), j - i)
+                _accumulate(out, ((_place(gen, rest) + block, bc),), j - i)
             i = j
         return out.items()
     it = iter(_virasoro_table(g, word))
@@ -172,8 +180,17 @@ def _is_normal(word: Word) -> bool:
 
 
 def _fold(word: Word, terms: dict) -> dict:
-    """``word`` times the normal-form ``terms``, rightmost letter first."""
+    """``word`` times the normal-form ``terms``, rightmost letter first.
+
+    A commuting letter (``C``, ``C1`` or ``I(k)``) commutes with every
+    letter of the block ``P`` and precedes every ``L``, so it is placed into
+    every word by sorted insertion in one pass: placement is injective and
+    keeps each coefficient, so no two words meet.  An ``L`` letter goes
+    through :func:`_insert`."""
     for g in reversed(word):
+        if g < _FIRST_L:
+            terms = {_place(g, w): c for w, c in terms.items()}
+            continue
         step = {}
         for w, c in terms.items():
             _accumulate(step, _insert(g, w), c)
@@ -190,7 +207,7 @@ def normal_order(word) -> UEElement:
     word = tuple(word)
     if len(word) > WORD_LIMIT:
         raise WordLengthError(f"word of length {len(word)} exceeds bound {WORD_LIMIT}")
-    return UEElement(_fold(word, {(): _ONE}))
+    return UEElement._with(_fold(word, {(): _ONE}))
 
 
 def multiply(u: UEElement, v: UEElement) -> UEElement:
@@ -210,7 +227,7 @@ def multiply(u: UEElement, v: UEElement) -> UEElement:
     out = {}
     for word, coef in u.terms.items():
         _accumulate(out, _fold(word, right).items(), coef)
-    return UEElement(out)
+    return UEElement._with(out)
 
 
 def commutator(u: UEElement, v: UEElement) -> UEElement:

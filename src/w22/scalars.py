@@ -145,18 +145,27 @@ class Combination:
     combination is never mutated, so a sum with a zero operand returns the
     other operand itself.  A scalar is an ``int``, ``Fraction`` or ``Poly``.
 
+    The constructor drops zero coefficients; ``_with`` builds from terms
+    that hold none, with no second pass.  Sums drop zeros as they
+    accumulate, and a product of nonzero exact scalars is nonzero, so
+    ``+``, ``-``, negation and scalar ``*`` build through ``_with``.
+
     Subclasses supply the printing order of the keys (``_sorted_keys``) and
     how a key prints (``_format``); one whose constructor takes more than
-    the terms, or checks them, also supplies ``_with``."""
+    the terms also supplies ``_with``."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         self.terms = {key: coef for key, coef in terms.items() if coef} if terms else {}
 
-    def _with(self, terms) -> "Combination":
-        """A combination of the same kind with the given terms."""
-        return type(self)(terms)
+    @classmethod
+    def _with(cls, terms) -> "Combination":
+        """A combination of this kind holding ``terms``, a dict with no zero
+        coefficient, as it is."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -188,7 +197,7 @@ class Combination:
         if not isinstance(scalar, (int, Fraction, Poly)):
             return NotImplemented
         if not scalar:
-            return self._with(None)
+            return self._with({})
         return self._with({key: scalar * coef for key, coef in self.terms.items()})
 
     __rmul__ = __mul__
@@ -242,11 +251,11 @@ class Poly(Combination):
         self.terms = clean
         self._hash = None
 
-    def _with(self, terms) -> "Poly":
+    @classmethod
+    def _with(cls, terms) -> "Poly":
         """A Poly of terms whose coefficients are already nonzero
         ``Fraction``s: sums, negations and products, with no second pass."""
-        poly = Poly.__new__(Poly)
-        poly.terms = terms
+        poly = super()._with(terms)
         poly._hash = None
         return poly
 

@@ -14,9 +14,13 @@ pairs in which B was faster.
 Run as a script, it reports ``normal_order`` of the reversed words
 ``L(1)L(0)...`` of lengths 7-10, cold (the Virasoro insertion tables of
 ``pbw`` cleared before each call, where the checkout keeps them) and warm;
-``singular_vectors`` at level m on the locus of m, for m = 2 and 3, cold
-(the Verma tables cleared before each call) and warm; warm ``gram_matrix``
-at level 10 at (-9/4, 0, 1, 8); and warm ``run_corpus``.
+warm ``normal_order`` of the five seeded mixed L/I words of
+``pbw_words.mixed_words`` at each of the lengths 8, 10 and 12, which reach
+the commuting block that reversed L-words never do; ``singular_vectors`` at level m on the locus of m, for
+m = 2 and 3, cold (the Verma tables cleared before each call) and warm;
+warm ``gram_matrix`` at level 10 at (-9/4, 0, 1, 8); warm ``run_corpus``;
+warm ``jacobi_report(6)``; and ``w22 suite`` run in process through the
+checkout's ``cli`` module, its output discarded.
 The pytest suite does not collect this file (its name does not match
 ``test_*.py``).
 """
@@ -24,7 +28,10 @@ The pytest suite does not collect this file (its name does not match
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib
 import importlib.util
+import io
 import statistics
 import sys
 import time
@@ -97,6 +104,12 @@ def report(label, a, b, call, pairs, setup=None):
     print(summary(label, *time_pairs(lambda: call(a), lambda: call(b), pairs, *setups)))
 
 
+def run_suite(cli):
+    """``w22 suite`` through the ``cli`` module given, its output discarded."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(["suite"])
+
+
 def locus_point(package, m):
     """A point on the locus of m, with dense (lambda, c1) as the sweep
     draws them."""
@@ -120,6 +133,20 @@ def main(argv=None):
 
         report(f"cold len {length}", a, b, order, args.pairs, clear_tables)
         report(f"warm len {length}", a, b, order, args.pairs)
+    # pbw_words spells its words in the w22 of this checkout; each package
+    # gets the same words in its own generators.
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    from pbw_words import mixed_words
+
+    for length in (8, 10, 12):
+        words = mixed_words(length)
+        mixed = {p: [tuple(p.Generator(g.kind, g.index) for g in w) for w in words] for p in (a, b)}
+
+        def order_mixed(p):
+            for word in mixed[p]:
+                p.pbw.normal_order(word)
+
+        report(f"warm mix {length}", a, b, order_mixed, args.pairs)
     for m in (2, 3):
         points = {p: locus_point(p, m) for p in (a, b)}
 
@@ -131,6 +158,10 @@ def main(argv=None):
     points = {p: p.verma.HWParams.rational(Fraction(-9, 4), 0, 1, 8) for p in (a, b)}
     report("warm gram 10", a, b, lambda p: p.verma.gram_matrix(10, points[p], 10), args.pairs)
     report("warm corpus", a, b, lambda p: p.identities.run_corpus(), args.pairs)
+    report("warm jacobi 6", a, b, lambda p: p.algebra.jacobi_report(6), args.pairs)
+    # The package does not import its cli module; import each copy's own.
+    cli = {p: importlib.import_module(f"{p.__name__}.cli") for p in (a, b)}
+    report("suite", a, b, lambda p: run_suite(cli[p]), args.pairs)
 
 
 if __name__ == "__main__":

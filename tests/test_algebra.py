@@ -71,7 +71,72 @@ class TestBracket:
         assert bracket_gen(I(-2), L(2))
 
 
+TRUE_BRACKET = algebra.bracket_gen
+
+
+def skewed_bracket(a, b):
+    """[L(m), I(-m)] gains C1 for every m, and [I(-m), L(m)] loses it:
+    skew, but not a 2-cocycle."""
+    if a.kind == "I" and b.kind == "L":
+        return -skewed_bracket(b, a)
+    out = TRUE_BRACKET(a, b)
+    if a.kind == "L" and b.kind == "I" and a.index + b.index == 0:
+        out = out + LieElement({C1: 1})
+    return out
+
+
+def centreless_bracket(a, b):
+    """The bracket with its C term dropped: the centreless algebra, which
+    satisfies Jacobi."""
+    return LieElement({g: c for g, c in TRUE_BRACKET(a, b).terms.items() if g != C})
+
+
+def one_sided_bracket(a, b):
+    """The C term dropped from [L(n), L(-n)] for n > 0 only: not skew."""
+    return LieElement({g: c for g, c in TRUE_BRACKET(a, b).terms.items() if g != C or a.index < 0})
+
+
+def lopsided_bracket(a, b):
+    """[L(n), L(m)] gains I(n+m) for n <= m only: not skew off the centre,
+    so the classes (a, a, c) and (a, a, a) have nonzero sums as well."""
+    out = TRUE_BRACKET(a, b)
+    if a.kind == "L" and b.kind == "L" and a.index <= b.index:
+        out = out + LieElement({I(a.index + b.index): 1})
+    return out
+
+
+def naive_jacobi(max_index, bracket_of):
+    """``(triples_checked, violations)`` of the Jacobi report, from the
+    cyclic sum of every ordered triple in product order, with the outer
+    brackets extended linearly over ``bracket_of`` as well."""
+    window = generator_window(max_index)
+
+    def outer(x, y):
+        out = LieElement()
+        for g, coef in y.terms.items():
+            out = out + coef * bracket_of(x, g)
+        return out
+
+    violations = []
+    for a in window:
+        for b in window:
+            for c in window:
+                s = outer(a, bracket_of(b, c)) + outer(b, bracket_of(c, a)) + outer(c, bracket_of(a, b))
+                if s:
+                    violations.append((str(a), str(b), str(c), str(s)))
+    return len(window) ** 3, violations
+
+
 class TestJacobi:
+    @pytest.mark.parametrize("max_index", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "bracket_of", [TRUE_BRACKET, skewed_bracket, centreless_bracket, one_sided_bracket, lopsided_bracket]
+    )
+    def test_report_matches_the_per_triple_reference(self, monkeypatch, max_index, bracket_of):
+        monkeypatch.setattr(algebra, "bracket_gen", bracket_of)
+        report = jacobi_report(max_index)
+        assert (report.triples_checked, report.violations) == naive_jacobi(max_index, bracket_of)
+
     def test_report_is_clean(self):
         report = jacobi_report(3)
         assert report.triples_checked == len(generator_window(3)) ** 3

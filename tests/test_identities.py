@@ -7,6 +7,7 @@ import pytest
 
 import w22
 from ab_timing import load
+from w22 import pbw
 from w22.algebra import I, L
 from w22.identities import (
     IdentityCase,
@@ -44,8 +45,11 @@ class TestExpressionParser:
         assert parse_expression("0").is_zero()
 
     def test_rejects_malformed(self):
-        for bad in ["", "(br (L 1))99", "(frob (L 1) (L 2))", "(scale x (L 1))"]:
-            with pytest.raises((ValueError, IndexError)):
+        for bad in ["", "(br (L 1))99", "(frob (L 1) (L 2))", "(scale x (L 1))", "(L (L 1))"]:
+            with pytest.raises(ValueError):
+                parse_expression(bad)
+        for bad in ["(L 1", "(", "()", ")"]:
+            with pytest.raises(ValueError, match="unbalanced parenthesis"):
                 parse_expression(bad)
 
 
@@ -108,6 +112,24 @@ class TestCorpus:
         corpus.write_text(json.dumps(json.loads(corpus.read_text())[:5]))
         copy = load(tmp_path, "w22_trimmed_copy")
         assert [c.name for c in copy.identities.load_corpus()] == [c.name for c in load_corpus()[:5]]
+
+    def test_second_run_rewrites_as_much_as_the_first(self, monkeypatch):
+        # The parsed trees are kept, but no case result is: every run
+        # rewrites each case afresh.
+        calls = []
+        fold = pbw._fold
+
+        def counting(word, terms):
+            calls.append(word)
+            return fold(word, terms)
+
+        monkeypatch.setattr(pbw, "_fold", counting)
+        first = run_corpus()
+        n = len(calls)
+        second = run_corpus()
+        assert n > len(first)
+        assert calls[n:] == calls[:n]
+        assert [r.residual for r in second] == [r.residual for r in first]
 
     def test_erratum_residuals_have_recorded_direction(self):
         by_name = {r.case.name: r for r in run_corpus()}

@@ -2,7 +2,8 @@
 rewriter (on random words and on L blocks before commuting blocks), the
 omega anti-involution, exactness of every coefficient (int or Fraction,
 never float or bool), the linear-combination axioms of Lie elements, U
-elements, Verma vectors and polynomials, the point-free action table
+elements, Verma vectors and polynomials, zero-free sums, products and
+normal forms, the point-free action table
 against the per-point recursion, the I(0) nilpotency degree against dense
 powers, the symmetry of the Gram matrix, the closed-form determinant
 against Bareiss on the full Gram matrix, the level recursion of the Gram
@@ -150,6 +151,21 @@ def test_combination_axioms(abc, s, t):
     assert a * s == s * a
     for x, y in ((a + b, b + a), ((a - b) + b, a), (0 * a, a - a)):
         assert x == y and hash(x) == hash(y)
+
+
+@derandomized
+@given(st.tuples(lie_elements, lie_elements) | st.tuples(ue_elements(), ue_elements()), rationals, words(6))
+def test_results_hold_no_zero_coefficient(ab, s, word):
+    # Sums, products and normal forms are built with no filtering pass, so
+    # each must come out zero-free: the constructor, which drops zeros,
+    # gives the same element back.
+    a, b = ab
+    results = [a + b, a - b, (a + b) - b, a - a, -a, s * a, a * s]
+    if isinstance(a, UEElement):
+        results += [multiply(a, b), multiply(b, a), normal_order(word)]
+    for x in results:
+        assert all(x.terms.values()), x.terms
+        assert type(x)(x.terms) == x
 
 
 # -- the forms layer --------------------------------------------------------
