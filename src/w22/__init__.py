@@ -26,9 +26,7 @@ from .identities import (
     IdentityCase,
     IdentityResult,
     load_corpus,
-    parse_expression,
     run_corpus,
-    verify_identity,
 )
 from .pbw import (
     UEElement,

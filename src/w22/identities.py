@@ -23,8 +23,6 @@ from .scalars import parse_rational
 __all__ = [
     "IdentityCase",
     "IdentityResult",
-    "parse_expression",
-    "verify_identity",
     "load_corpus",
     "run_corpus",
 ]
@@ -141,19 +139,11 @@ def _parse(text: str):
     return _tree(node)
 
 
-def parse_expression(text: str) -> UEElement:
-    """Evaluate a prefix expression to a normal-form element of U."""
-    return _eval(_parse(text))
-
-
 def _verify(case: IdentityCase, expression, expected) -> IdentityResult:
+    """Normal-order expression minus expected, from their trees; pass iff
+    the residual is 0."""
     residual = _eval(expression) - _eval(expected)
     return IdentityResult(case=case, passed=residual.is_zero(), residual=residual)
-
-
-def verify_identity(case: IdentityCase) -> IdentityResult:
-    """Normal-order expression minus expected; pass iff the residual is 0."""
-    return _verify(case, _parse(case.expression), _parse(case.expected))
 
 
 @lru_cache(maxsize=1)
@@ -180,8 +170,6 @@ def _corpus_trees() -> tuple:
     return tuple((case, _parse(case.expression), _parse(case.expected)) for case in load_corpus())
 
 
-def run_corpus(cases=None) -> list[IdentityResult]:
-    """Verify ``cases``, or the packaged corpus from its parsed trees."""
-    if cases is None:
-        return [_verify(*entry) for entry in _corpus_trees()]
-    return [verify_identity(case) for case in cases]
+def run_corpus() -> list[IdentityResult]:
+    """Verify the packaged corpus from its parsed trees."""
+    return [_verify(*entry) for entry in _corpus_trees()]

@@ -20,8 +20,8 @@ denominators, so the work is in ints and each output entry is divided
 once; at a polynomial point D is 1.  The contravariant form is built level
 by level from the levels below.  Everything is exact, and works
 identically over rational parameters and over the symbolic polynomial ring
-in (lambda, c, c0, c1), apart from the singular search and the degeneracy
-scan, which take rational points only.
+in (lambda, c, c0, c1), apart from the singular search and the first
+degenerate level, which take rational points only.
 """
 
 from __future__ import annotations
@@ -467,17 +467,24 @@ def is_reducible(c0, c1) -> tuple[bool, Optional[int]]:
     above.  It agrees with the exact determinants, e.g.
     ``det_2 = 64*c0^6*(c1 - 8*c0)^2``.
     """
-    c0 = QQ.coerce(c0)
-    c1 = QQ.coerce(c1)
-    if c1 == 0:
-        return (True, 1) if c0 == 0 else (False, None)
-    t = 1 + 24 * c0 / c1
-    if t.denominator != 1 or t < 1:
-        return (False, None)
-    root = isqrt(t.numerator)
-    if root * root == t.numerator:
-        return (True, root)
-    return (False, None)
+    m = _witness(QQ.coerce(c0), QQ.coerce(c1))
+    return m is not None, m
+
+
+def _witness(c0: Fraction, c1: Fraction) -> Optional[int]:
+    """The least integer m >= 1 with ``(m^2 - 1) c1 = 24 c0``, or None.
+
+    For c1 = 0 every m solves it when c0 = 0, and none otherwise.  Else,
+    with ``c1 = a/b`` and ``c0 = c/d``, ``m^2 - 1 = 24 c b / (a d)`` must be
+    an integer q >= 0 (q = -1 is m = 0) with q + 1 a perfect square, and
+    the square root is the one positive solution."""
+    if not c1:
+        return None if c0 else 1
+    q, r = divmod(24 * c0.numerator * c1.denominator, c1.numerator * c0.denominator)
+    if r or q < 0:
+        return None
+    m = isqrt(q + 1)
+    return m if m * m == q + 1 else None
 
 
 @dataclass
@@ -558,9 +565,8 @@ def first_degenerate_level(
     The level-n determinant is a product of powers of ``f(k)``, and ``f(k)``
     occurs for exactly the k <= n (``L(-k) L(-1)^{n-k} v`` is a basis
     element), so the form first degenerates at the smallest m with
-    ``f(m) = 0``, that is with ``(m^2 - 1) c1 = 24 c0``.  With ``c1 = a/b``
-    and ``c0 = c/d`` the scan tests ``(m^2 - 1) a d = 24 c b`` in ints."""
-    _require_rational(p, "degeneracy scan")
-    ad = p.c1.numerator * p.c0.denominator
-    cb = 24 * p.c0.numerator * p.c1.denominator
-    return next((m for m in range(1, max_level + 1) if (m * m - 1) * ad == cb), None)
+    ``f(m) = 0``, that is at the witness of :func:`is_reducible`, when it is
+    at most ``max_level``."""
+    _require_rational(p, "degenerate level")
+    m = _witness(p.c0, p.c1)
+    return m if m is not None and m <= max_level else None

@@ -345,3 +345,24 @@ class TestExitCodes:
         code, out, _ = run(capsys, "suite")
         assert code == 1
         assert json.loads(out)["ok"] is False
+
+    def test_verma_dim_oracle_catches_a_dropped_partition(self, capsys, monkeypatch):
+        # The oracle must not read the enumeration it checks: a partition
+        # generator that loses (2, 1, 1) shrinks the level basis from level 4.
+        from w22 import verma
+
+        partitions = verma.partitions
+
+        def dropping(n, max_part=None):
+            return (q for q in partitions(n, max_part) if q != (2, 1, 1))
+
+        monkeypatch.setattr(verma, "partitions", dropping)
+        verma._sorted_basis.cache_clear()
+        try:
+            code, out, _ = run(capsys, "verma-dim", "--max-level", "6")
+        finally:
+            verma._sorted_basis.cache_clear()
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["ok"] is False
+        assert payload["oracle"] == [1, 2, 5, 10, 20, 36, 65]

@@ -7,20 +7,24 @@ import pytest
 
 import w22
 from ab_timing import load
-from w22 import pbw
+from w22 import identities, pbw
 from w22.algebra import I, L
-from w22.identities import (
-    IdentityCase,
-    load_corpus,
-    parse_expression,
-    run_corpus,
-    verify_identity,
-)
+from w22.identities import IdentityCase, load_corpus, run_corpus
 from w22.pbw import UEElement
 
 
 def words(*items):
     return UEElement({tuple(w): Fraction(q) for w, q in items})
+
+
+def parse_expression(text):
+    """The normal form of a prefix expression."""
+    return identities._eval(identities._parse(text))
+
+
+def verify_identity(case):
+    parse = identities._parse
+    return identities._verify(case, parse(case.expression), parse(case.expected))
 
 
 class TestExpressionParser:

@@ -7,13 +7,14 @@ normal forms, the point-free action table
 against the per-point recursion, the I(0) nilpotency degree against dense
 powers, the symmetry of the Gram matrix, the closed-form determinant
 against Bareiss on the full Gram matrix, the level recursion of the Gram
-matrix against the brute-force pairing, the first degenerate level against
-the irreducibility criterion and against the determinants, the
+matrix against the brute-force pairing, the irreducibility criterion
+against a scan of its equation, the first degenerate level against the
+criterion and against the determinants, the
 singular-vector shortcut against the determinant, the sparse kernel against
 dense Gauss-Jordan, and the Poly ring."""
 
 from fractions import Fraction
-from math import lcm
+from math import floor, isqrt, lcm
 
 from hypothesis import given, settings, strategies as st
 
@@ -239,6 +240,30 @@ def test_first_degenerate_level_is_the_criterion_witness(c0c1, top):
     _, witness = is_reducible(c0, c1)
     expected = witness if witness is not None and witness <= top else None
     assert first_degenerate_level(HWParams.rational(0, 0, c0, c1), top) == expected
+
+
+def scanned_witness(c0, c1):
+    """The least m >= 1 with (m^2 - 1)/12 * c1 == 2 * c0, by trying each m.
+    A solution has m^2 = 1 + 24 c0/c1 <= 1 + |24 c0/c1|, so the scan is
+    complete."""
+    if c1 == 0:
+        return 1 if c0 == 0 else None
+    top = isqrt(floor(1 + abs(24 * c0 / c1))) + 1
+    return next((m for m in range(1, top + 1) if Fraction(m * m - 1, 12) * c1 == 2 * c0), None)
+
+
+@derandomized
+@given(
+    st.tuples(rationals, rationals)
+    | st.tuples(dense_rationals, dense_rationals)
+    # m = 0 gives c0 = -c1/24, where m^2 = 0: no witness.
+    | st.builds(locus_point, st.integers(0, 40), rationals | dense_rationals)
+    | st.tuples(rationals | dense_rationals, st.just(0))
+)
+def test_criterion_matches_a_scan_of_its_equation(c0c1):
+    c0, c1 = map(Fraction, c0c1)
+    m = scanned_witness(c0, c1)
+    assert is_reducible(c0, c1) == (m is not None, m)
 
 
 def on_locus(lam, c, m, c1):
