@@ -15,8 +15,9 @@ derived from :func:`bracket_gen`.
 Symbols and constants are native values, because every rewriting step
 hashes, compares and multiplies them.  A :class:`Generator` is a tuple, so
 its hash, equality and canonical order are the built-in tuple ones.  The
-structure constants ``m - n`` are ``int``; only the central coefficients
-``(n^3 - n)/12`` are ``Fraction``.  The two mix exactly.  A
+structure constants ``m - n`` are ``int``, and so is a central coefficient
+``(n^3 - n)/12`` that is an integer (``n`` not 2 mod 4); the others are
+``Fraction``.  The two mix exactly.  A
 :class:`LieElement` is a :class:`~w22.scalars.Combination` of generators.
 """
 
@@ -127,10 +128,9 @@ def _bracket_gen(a: Generator, b: Generator) -> LieElement:
     out = {}
     if m != n:
         out[Generator(b.kind, n + m)] = m - n
-    if n == -m:
-        cc = Fraction(n**3 - n, 12)
-        if cc:
-            out[C if b.kind == "L" else C1] = cc
+    if n == -m and n**3 != n:
+        q, r = divmod(n**3 - n, 12)
+        out[C if b.kind == "L" else C1] = Fraction(n**3 - n, 12) if r else q
     return LieElement(out)
 
 

@@ -74,16 +74,24 @@ def _parse_tokens(tokens, pos: int):
     return (head, args), pos + 1
 
 
+def _literal(text: str):
+    """A rational literal, as an ``int`` where it is an integer: integer
+    coefficients stay ``int`` through the rewriting."""
+    q = parse_rational(text)
+    return q.numerator if q.denominator == 1 else q
+
+
 def _tree(node):
     """The expression tree of a parsed list or atom: every leaf a
-    ``Generator`` or a ``Fraction``, every inner node ``(operator, args)``.
-    ``scale`` keeps its literal ``Fraction`` as its first argument."""
+    ``Generator`` or a rational literal (see :func:`_literal`), every inner
+    node ``(operator, args)``.  ``scale`` keeps its literal as its first
+    argument."""
     if isinstance(node, str):
         if node == "C":
             return C
         if node == "C1":
             return C1
-        return parse_rational(node)
+        return _literal(node)
     head, args = node
     if head in ("L", "I"):
         (idx,) = args
@@ -94,7 +102,7 @@ def _tree(node):
         q, a = args
         if not isinstance(q, str):
             raise ValueError("scale expects a rational literal first")
-        return head, (parse_rational(q), _tree(a))
+        return head, (_literal(q), _tree(a))
     if head not in ("br", "mul", "add", "sub", "neg"):
         raise ValueError(f"unknown operator {head!r}")
     return head, tuple(_tree(a) for a in args)
@@ -102,14 +110,14 @@ def _tree(node):
 
 def _eval(tree) -> UEElement:
     """The normal form of an expression tree, rewritten afresh."""
-    if isinstance(tree, (Generator, Fraction)):
+    if isinstance(tree, (Generator, int, Fraction)):
         return ue(tree)
     head, args = tree
     if head == "br":
         a, b = args
         return commutator(_eval(a), _eval(b))
     if head == "mul":
-        out = ue(Fraction(1))
+        out = ue(1)
         for a in args:
             out = multiply(out, _eval(a))
         return out

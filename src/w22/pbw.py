@@ -6,29 +6,41 @@ So a normal word is a block ``P`` of commuting letters (``C``, ``C1``,
 ``I``) followed by a Virasoro word ``W`` of ``L`` letters: the ``I(n)`` span
 an abelian ideal, and ``[L(n), I(m)]`` lies in ``span{I, C1}``.
 
-A word is folded into normal form letter by letter, rightmost first.  A
-commuting letter ``C``, ``C1`` or ``I(k)`` commutes with every letter of
-``P`` and precedes every ``L``, so it is placed into ``P`` by sorted
-insertion, in every term at once.  An ``L`` letter goes through one kernel,
-the insertion of ``g = L(k)`` into a normal word ``P W``, which takes one of
-two cases:
+A word is folded into normal form letter by letter, rightmost first, on
+buckets ``{block: {word: coef}}``.  A bucket's block is the sorted ``C1``
+and ``I`` letters of its terms; each of its words is the ``C`` letters
+followed by the ``L`` word.  ``C`` rides with the word because the
+Virasoro table emits it there; ``C1`` rides with the block because
+``[L(k), I(-k)]`` emits it there.  Every term of one bucket has the same
+block, so a letter does the block's work once per bucket, not per term:
 
-* ``g = L(k)`` and ``P`` is not empty: ``ad g`` is a derivation that maps
-  ``P``'s letters into the abelian block, so ``g P W = P (g W) + sum over
-  the letters p of P of (P with p replaced by [g, p]) W``.  Each ``[g, p]``
-  is placed by sorted insertion; only ``g W`` is rewritten further.
-* ``g = L(k)`` and ``P`` is empty: ``g h t`` is normal when ``g <= h``, and
-  otherwise ``g h t = h (g t) + [g, h] t``, two insertions into shorter
-  words.  Each (generator, Virasoro word) table depends on no parameter
-  point, so it is built once per process: a Virasoro word is rewritten once
-  however many blocks ``P`` stand before it and however many calls meet it.
+* ``C`` goes to the front of every word.
+* ``C1`` or ``I(k)`` commutes with the block and precedes every ``L``, so
+  it is placed into each block by sorted insertion.  Placement is
+  injective, so the buckets are re-keyed and their words kept as they are.
+* ``L(k)`` is inserted into each word of a bucket by :func:`_insert`, and
+  ``ad L(k)``, a derivation that maps the block's letters into the abelian
+  block, acts once per bucket: ``L(k) P W = P (L(k) W) + sum over the
+  letters p of P of (P with p replaced by [L(k), p]) W``.  Each
+  ``[L(k), I(j)]`` is placed into the block less one ``I(j)``, and the
+  bucket's words go there as they are, times the multiplicity of ``I(j)``.
+
+:func:`_insert` rewrites ``L(k)`` into a word of ``C`` and ``L`` letters:
+``g h t`` is normal when ``g <= h``, and otherwise ``g h t = h (g t) +
+[g, h] t``, two insertions into shorter words.  Each (generator, Virasoro
+word) table depends on no parameter point, so it is built once per
+process: a Virasoro word is rewritten once however many blocks stand
+before it and however many calls meet it.  At the end each bucket is
+joined into normal words: ``C`` letters, then the block, then the ``L``
+word.
 
 Rewriting terminates and the normal form is unique (PBW), so the order in
 which inversions are rewritten does not matter.
 
 A word is a tuple of :class:`~w22.algebra.Generator` tuples, so table keys
 and output words hash and compare in C.  Coefficients stay ``int`` until a
-central term brings in a ``Fraction``.
+central term ``(n^3 - n)/12`` that is not an integer brings in a
+``Fraction``.
 
 ``C`` and ``C1`` stay formal generators here; they are only evaluated to
 scalars inside the Verma machinery.
@@ -100,49 +112,34 @@ def ue(x) -> UEElement:
     return UEElement({(): x})
 
 
-def _place(g: Generator, word: Word) -> Word:
-    """The commuting letter ``g`` (``C``, ``C1`` or ``I(k)``) placed into
-    the normal word ``word`` by sorted insertion.  For a fixed ``g`` this is
-    injective on normal words: removing one ``g`` gives ``word`` back."""
-    i = bisect_right(word, g)
-    return word[:i] + (g,) + word[i:]
+def _place(g: Generator, block: Word) -> Word:
+    """The letter ``g`` (``C1`` or ``I(k)``) placed into the sorted
+    ``block`` by sorted insertion.  For a fixed ``g`` this is injective:
+    removing one ``g`` gives ``block`` back."""
+    i = bisect_right(block, g)
+    return block[:i] + (g,) + block[i:]
 
 
 def _insert(g: Generator, word: Word) -> Iterable:
-    """``g`` times the normal word ``word``, as (normal word, coef) pairs.
+    """``g`` times the word ``word`` of ``C`` and ``L`` letters, as (normal
+    word, coef) pairs.
 
     ``g`` is an ``L`` letter, or ``C`` in front of a Virasoro word (a
-    central term of :func:`_virasoro_table`); :func:`_fold` places the
-    other commuting letters itself.  With ``word = P W`` (``P`` the letters
-    before the first ``L``):
+    central term of :func:`_virasoro_table`); :func:`_fold` keeps the
+    ``C1`` and ``I`` letters in the block and applies ``ad L(k)`` there.
 
     * ``g <= word[0]``: ``g word`` is already normal.
-    * ``g = L(k)``, ``P`` not empty: ``P (g W)`` plus, for each ``I(j)`` in
-      ``P`` (times its multiplicity), ``P`` with one ``I(j)`` replaced by
-      ``[L(k), I(j)]``, followed by ``W``, because ``ad L(k)`` is a
-      derivation into the commuting block.
-    * ``g = L(k)``, ``P`` empty: the table :func:`_virasoro_table`, built
-      once per process.
+    * ``word`` starts with ``C`` letters: they commute with ``g`` and stay
+      in front of ``g`` times the rest.
+    * Otherwise ``word`` is a Virasoro word: the table
+      :func:`_virasoro_table`, built once per process.
     """
     if not word or g <= word[0]:
         return (((g,) + word, _ONE),)
     if word[0] < _FIRST_L:
         p = bisect_left(word, _FIRST_L)
-        prefix, block = word[:p], word[p:]
-        out = {}
-        # The central terms of g W bring C letters; they go before P.
-        for w, c in _insert(g, block):
-            a = bisect_right(w, C)
-            out[w[:a] + prefix + w[a:]] = c
-        i = bisect_right(prefix, C1)
-        while i < p:
-            h = prefix[i]
-            j = bisect_right(prefix, h, i)
-            rest = prefix[:i] + prefix[i + 1:]
-            for gen, bc in bracket_gen(g, h).terms.items():
-                _accumulate(out, ((_place(gen, rest) + block, bc),), j - i)
-            i = j
-        return out.items()
+        prefix = word[:p]
+        return [(prefix + w, c) for w, c in _insert(g, word[p:])]
     it = iter(_virasoro_table(g, word))
     return zip(it, it)
 
@@ -179,23 +176,66 @@ def _is_normal(word: Word) -> bool:
     return all(map(le, word, word[1:]))
 
 
-def _fold(word: Word, terms: dict) -> dict:
-    """``word`` times the normal-form ``terms``, rightmost letter first.
+def _split(terms: dict) -> dict:
+    """Normal-form ``terms`` as buckets ``{block: {word: coef}}``: the block
+    is a word's ``C1`` and ``I`` letters, the word its ``C`` letters and its
+    ``L`` word."""
+    buckets = {}
+    for w, c in terms.items():
+        p = bisect_right(w, C)
+        q = bisect_left(w, _FIRST_L, p)
+        buckets.setdefault(w[p:q], {})[w[:p] + w[q:]] = c
+    return buckets
 
-    A commuting letter (``C``, ``C1`` or ``I(k)``) commutes with every
-    letter of the block ``P`` and precedes every ``L``, so it is placed into
-    every word by sorted insertion in one pass: placement is injective and
-    keeps each coefficient, so no two words meet.  An ``L`` letter goes
-    through :func:`_insert`."""
+
+def _fold(word: Word, buckets: dict) -> dict:
+    """``word`` times the buckets of :func:`_split`, rightmost letter first,
+    as new buckets (see the module docstring).  The inner dicts of
+    ``buckets`` are never changed; a letter that only re-keys the blocks
+    hands them on as they are."""
     for g in reversed(word):
         if g < _FIRST_L:
-            terms = {_place(g, w): c for w, c in terms.items()}
+            if g < C1:
+                buckets = {b: {(g,) + w: c for w, c in ws.items()} for b, ws in buckets.items()}
+            else:
+                buckets = {_place(g, b): ws for b, ws in buckets.items()}
             continue
-        step = {}
-        for w, c in terms.items():
-            _accumulate(step, _insert(g, w), c)
-        terms = step
-    return terms
+        out = {}
+        for block, ws in buckets.items():
+            step = out.setdefault(block, {})
+            for w, c in ws.items():
+                _accumulate(step, _insert(g, w), c)
+            n = len(block)
+            i = bisect_right(block, C1)
+            while i < n:
+                h = block[i]
+                j = bisect_right(block, h, i)
+                rest = block[:i] + block[i + 1:]
+                for gen, bc in bracket_gen(g, h).terms.items():
+                    target = _place(gen, rest)
+                    factor = (j - i) * bc
+                    into = out.get(target)
+                    if into is None:
+                        out[target] = {w: factor * c for w, c in ws.items()}
+                    else:
+                        _accumulate(into, ws.items(), factor)
+                i = j
+        buckets = out
+    return buckets
+
+
+def _join(buckets: dict) -> dict:
+    """The normal-form terms of ``buckets``: each word's ``C`` letters, then
+    its block, then its ``L`` word.  Blocks and words are recovered from the
+    joined word, so no two terms meet."""
+    if len(buckets) == 1 and () in buckets:
+        return buckets[()]
+    out = {}
+    for block, ws in buckets.items():
+        for w, c in ws.items():
+            a = bisect_right(w, C)
+            out[w[:a] + block + w[a:] if a else block + w] = c
+    return out
 
 
 def normal_order(word) -> UEElement:
@@ -207,26 +247,30 @@ def normal_order(word) -> UEElement:
     word = tuple(word)
     if len(word) > WORD_LIMIT:
         raise WordLengthError(f"word of length {len(word)} exceeds bound {WORD_LIMIT}")
-    return UEElement._with(_fold(word, {(): _ONE}))
+    return UEElement._with(_join(_fold(word, {(): {(): _ONE}})))
 
 
 def multiply(u: UEElement, v: UEElement) -> UEElement:
     """The associative product of U, returned in normal form.
 
-    A right factor whose words are not all normal is normal-ordered first,
-    because the fold inserts letters into normal words only."""
+    The right factor is split into buckets once per call, and each left
+    word is folded into them.  A right factor whose words are not all normal
+    is normal-ordered first, into buckets, because the fold inserts letters
+    into normal words only."""
     right_len = v.max_word_length()
     n = u.max_word_length() + right_len
     if n > WORD_LIMIT:
         raise WordLengthError(f"product of length {n} exceeds bound {WORD_LIMIT}")
-    right = v.terms
-    if right_len > 1 and not all(map(_is_normal, right)):
+    if right_len > 1 and not all(map(_is_normal, v.terms)):
         right = {}
         for word, coef in v.terms.items():
-            _accumulate(right, _fold(word, {(): _ONE}).items(), coef)
+            for block, ws in _fold(word, {(): {(): _ONE}}).items():
+                _accumulate(right.setdefault(block, {}), ws.items(), coef)
+    else:
+        right = _split(v.terms)
     out = {}
     for word, coef in u.terms.items():
-        _accumulate(out, _fold(word, right).items(), coef)
+        _accumulate(out, _join(_fold(word, right)).items(), coef)
     return UEElement._with(out)
 
 

@@ -16,7 +16,11 @@ Run as a script, it reports ``normal_order`` of the reversed words
 ``pbw`` cleared before each call, where the checkout keeps them) and warm;
 warm ``normal_order`` of the five seeded mixed L/I words of
 ``pbw_words.mixed_words`` at each of the lengths 8, 10 and 12, which reach
-the commuting block that reversed L-words never do; ``singular_vectors`` at level m on the locus of m, for
+the commuting block that reversed L-words never do; warm ``normal_order``
+of the five L6I6 words of ``pbw_words.l6i6_words``, where six L letters
+pass through a block of six I letters; warm ``commutator`` of every pair of
+single generators of ``generator_window(3)``, the shape of the identity
+corpus; ``singular_vectors`` at level m on the locus of m, for
 m = 2 and 3, cold (the Verma tables cleared before each call) and warm;
 warm ``gram_matrix`` at level 10 at (-9/4, 0, 1, 8); warm ``run_corpus``;
 warm ``jacobi_report(6)``; and ``w22 suite`` run in process through the
@@ -136,17 +140,31 @@ def main(argv=None):
     # pbw_words spells its words in the w22 of this checkout; each package
     # gets the same words in its own generators.
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    from pbw_words import mixed_words
+    from pbw_words import l6i6_words, mixed_words
 
-    for length in (8, 10, 12):
-        words = mixed_words(length)
-        mixed = {p: [tuple(p.Generator(g.kind, g.index) for g in w) for w in words] for p in (a, b)}
+    def respelt(words):
+        return {p: [tuple(p.Generator(g.kind, g.index) for g in w) for w in words] for p in (a, b)}
 
-        def order_mixed(p):
-            for word in mixed[p]:
+    def order_all(words):
+        def order(p):
+            for word in words[p]:
                 p.pbw.normal_order(word)
 
-        report(f"warm mix {length}", a, b, order_mixed, args.pairs)
+        return order
+
+    for length in (8, 10, 12):
+        report(f"warm mix {length}", a, b, order_all(respelt(mixed_words(length))), args.pairs)
+    report("warm l6i6", a, b, order_all(respelt(l6i6_words())), args.pairs)
+    generator_pairs = {
+        p: [(p.pbw.ue(x), p.pbw.ue(y)) for x in p.generator_window(3) for y in p.generator_window(3)]
+        for p in (a, b)
+    }
+
+    def commutators(p):
+        for x, y in generator_pairs[p]:
+            p.pbw.commutator(x, y)
+
+    report("warm comm 3", a, b, commutators, args.pairs)
     for m in (2, 3):
         points = {p: locus_point(p, m) for p in (a, b)}
 

@@ -43,6 +43,14 @@ class TestBracket:
     def test_mixed_sector_with_central_term(self):
         assert bracket(L(3), I(-3)) == lie((I(0), -6), (C1, 2))
 
+    def test_central_coefficient_is_an_int_where_integral(self):
+        # (n^3 - n)/12 is an integer unless n = 2 mod 4.
+        three = bracket_gen(L(3), L(-3)).terms[C]
+        assert (type(three), three) == (int, 2)
+        two = bracket_gen(L(2), L(-2)).terms[C]
+        assert (type(two), two) == (Fraction, Fraction(1, 2))
+        assert type(bracket_gen(L(4), I(-4)).terms[C1]) is int
+
     def test_central_elements(self):
         for g in generator_window(3):
             assert bracket(g, C).is_zero()

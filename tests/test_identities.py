@@ -142,6 +142,8 @@ class TestCorpus:
         assert by_name["erratum-L1-Lm1-half"].residual == words(
             ([L(0)], Fraction(-3, 2))
         )
+        reprs = [repr(by_name[f"erratum-{n}"].residual) for n in ("Im1-I6", "Im1-I2", "L1-Lm1-half")]
+        assert reprs == ["-7*I(5)", "-3*I(1)", "-3/2*L(0)"]
 
     def test_ladder_families_cover_required_ranges(self):
         names = {c.name for c in load_corpus()}

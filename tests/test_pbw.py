@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement
 
 import pytest
@@ -81,6 +82,22 @@ class TestNormalOrder:
                 for g in commuting:
                     assert normal_order((g,) + w).terms == {tuple(sorted((g,) + w)): 1}
 
+    def test_l_letters_meet_no_commuting_block(self, monkeypatch):
+        # ad L(k) on the block is applied by the fold, once per bucket: the
+        # L insertion only ever sees C and L letters.
+        seen = []
+        insert = pbw._insert
+
+        def recording(g, word):
+            seen.append(word)
+            return insert(g, word)
+
+        monkeypatch.setattr(pbw, "_insert", recording)
+        for word in l6i6_words() + mixed_words(10):
+            normal_order(word)
+        assert seen
+        assert not [w for w in seen if any(g.kind in ("I", "C1") for g in w)]
+
     def test_soundness_against_bracket(self):
         for a in generator_window(3):
             for b in generator_window(3):
@@ -124,11 +141,19 @@ class TestPersistentTables:
         assert len(set(map(id, words))) == len(set(words)) < len(words)
 
     def test_returned_terms_are_the_callers_own(self):
-        for word in (reversed_word(6), l6i6_words()[0]):
-            first = normal_order(word)
+        # The empty word and an I-only word are folded without an L step,
+        # and the empty left word of a product returns the right factor's
+        # buckets, here one empty block: none may hand out a dict that a
+        # later call reads.
+        u = normal_order(reversed_word(5))
+        u_terms = dict(u.terms)
+        calls = [partial(normal_order, w) for w in ((), (I(2), I(-1), I(2)), reversed_word(6), l6i6_words()[0])]
+        for call in calls + [partial(multiply, ue(1), u)]:
+            first = call()
             expected = dict(first.terms)
             first.terms.clear()
-            assert normal_order(word).terms == expected
+            assert call().terms == expected
+        assert u.terms == u_terms
 
 
 class TestMultiply:

@@ -1,6 +1,7 @@
 """Hypothesis properties: the memoised rewriting kernel against the naive
 rewriter (on random words and on L blocks before commuting blocks), the
-omega anti-involution, exactness of every coefficient (int or Fraction,
+product of normal forms against the normal form of the concatenated word,
+the omega anti-involution, exactness of every coefficient (int or Fraction,
 never float or bool), the linear-combination axioms of Lie elements, U
 elements, Verma vectors and polynomials, zero-free sums, products and
 normal forms, the point-free action table
@@ -97,6 +98,12 @@ def test_l_block_through_commuting_block_matches_naive_rewriter(word):
     expected = naive_normal_order(word, "leftmost")
     assert expected == naive_normal_order(word, "rightmost")
     assert normal_order(word) == expected
+
+
+@derandomized
+@given(words(6), words(6))
+def test_product_of_normal_forms_is_the_normal_form_of_the_product(a, b):
+    assert multiply(normal_order(a), normal_order(b)) == normal_order(a + b)
 
 
 @derandomized
