@@ -5,8 +5,10 @@ there is no float path.  Output is JSON (default) or CSV and is byte-for-byte
 reproducible for a fixed invocation.  Exit codes: 0 on computed success
 (including expected failures that match their recorded expectation), 1 on an
 unexpected property violation, 2 on usage errors, out-of-bound input and a
-result too long to print (:class:`~w22.scalars.DigitLimitError`); any other
-exception is an internal fault and propagates.
+result too long to print (:class:`~w22.scalars.DigitLimitError`), and 141
+(128 + SIGPIPE, the status a shell gives a filter killed by a closed pipe)
+when stdout is closed before the output is written, as by ``| head``; any
+other exception is an internal fault and propagates.
 """
 
 from __future__ import annotations
@@ -368,7 +370,16 @@ def main(argv=None) -> int:
     except (UsageError, verma.LevelBoundError, IndexLimitError, DigitLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()  # a closed pipe fails here, and not at exit
+    except BrokenPipeError:
+        # The reader has gone.  Point stdout at the null device, so that
+        # the flush at exit has somewhere to write what is left.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     return code
 
 

@@ -1,4 +1,4 @@
-"""Interleaved A/B timing of one call in two checkouts of w22.
+"""Interleaved A/B timing of two checkouts of w22.
 
     python3 tests/ab_timing.py PARENT_CHECKOUT CHANGE_CHECKOUT [--pairs N]
 
@@ -11,20 +11,30 @@ optional untimed setup such as a cache clear.  It prints each side's median
 and quartiles, the median of the per-pair ratios B/A, and the number of
 pairs in which B was faster.
 
-Run as a script, it reports ``normal_order`` of the reversed words
-``L(1)L(0)...`` of lengths 7-10, cold (the Virasoro insertion tables of
-``pbw`` cleared before each call, where the checkout keeps them) and warm;
-warm ``normal_order`` of the five seeded mixed L/I words of
-``pbw_words.mixed_words`` at each of the lengths 8, 10 and 12, which reach
-the commuting block that reversed L-words never do; warm ``normal_order``
-of the five L6I6 words of ``pbw_words.l6i6_words``, where six L letters
-pass through a block of six I letters; warm ``commutator`` of every pair of
-single generators of ``generator_window(3)``, the shape of the identity
-corpus; ``singular_vectors`` at level m on the locus of m, for
-m = 2 and 3, cold (the Verma tables cleared before each call) and warm;
-warm ``gram_matrix`` at level 10 at (-9/4, 0, 1, 8); warm ``run_corpus``;
-warm ``jacobi_report(6)``; and ``w22 suite`` run in process through the
-checkout's ``cli`` module, its output discarded.
+Run as a script, it first times the jobs of the benchmark.  It loads
+``perfbench/workloads.py`` of each checkout with ``w22`` bound to that
+checkout's package, builds the ``straighten``, ``sweep`` and ``symbolic``
+job lists of seed 1 at the reference size, and times each group of jobs of
+one kind and one size (``len``, ``level`` or ``top``), warm: one line per
+group, each call running every job of the group.  Both checkouts must build
+the same groups.  Then it times the shapes that no job kind times:
+
+- ``normal_order`` of the reversed words ``L(1)L(0)...`` of lengths 7-10,
+  cold: the Virasoro insertion tables of ``pbw`` cleared before each call,
+  where the checkout keeps them;
+- warm ``normal_order`` of the five seeded mixed L/I words of length 12 of
+  ``pbw_words.mixed_words``, longer than any benchmark word;
+- ``normal_order`` of the five L6I6 words of ``pbw_words.l6i6_words``, where
+  six L letters pass through a block of six I letters, warm and cold;
+- warm ``commutator`` of every pair of single generators of
+  ``generator_window(3)``, the shape of the identity corpus;
+- ``singular_vectors`` at level m on the locus of m, for m = 2 and 3, cold
+  (the Verma tables cleared before each call), and warm at level 6 at
+  c0 = c1 = 0, where every f(k) vanishes;
+- ``gram_matrix`` at (-9/4, 0, 1, 8), warm at level 10 and cold at level 8;
+- warm symbolic ``shapovalov_det`` at level 8, the default level bound;
+- warm ``jacobi_report(6)``.
+
 The pytest suite does not collect this file (its name does not match
 ``test_*.py``).
 """
@@ -32,15 +42,16 @@ The pytest suite does not collect this file (its name does not match
 from __future__ import annotations
 
 import argparse
-import contextlib
 import importlib
 import importlib.util
-import io
 import statistics
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+
+SEED = 1
+WORKLOADS = ("straighten", "sweep", "symbolic")
 
 
 def load(checkout, name):
@@ -53,6 +64,55 @@ def load(checkout, name):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def load_workloads(package):
+    """``perfbench/workloads.py`` of the checkout of ``package``, imported
+    with ``w22`` and its modules bound to ``package`` and its modules.
+    ``sys.modules`` and ``sys.path`` are as before on return."""
+    root = Path(package.__file__).parent
+    perfbench = root.parents[1] / "perfbench"
+    name = f"{package.__name__}_workloads"
+    spec = importlib.util.spec_from_file_location(name, perfbench / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    bound = {"w22": package, name: module}  # @dataclass looks its module up
+    for path in root.glob("*.py"):
+        if path.stem != "__init__":
+            bound[f"w22.{path.stem}"] = importlib.import_module(f"{package.__name__}.{path.stem}")
+    saved = {key: sys.modules.pop(key, None) for key in [*bound, "oracles"]}
+    sys.modules.update(bound)
+    sys.path.insert(0, str(perfbench))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(perfbench))
+        for key, value in saved.items():
+            sys.modules.pop(key, None)
+            if value is not None:
+                sys.modules[key] = value
+    return module
+
+
+def job_groups(package):
+    """The seed-1 jobs of every workload of the checkout of ``package``,
+    by (workload, kind, size), in a fixed order."""
+    workloads = load_workloads(package)
+    groups = {}
+    for workload in WORKLOADS:
+        jobs, _ = workloads.build(workload, SEED, workloads.REFERENCE_SECONDS)
+        shapes = {}
+        for job in jobs:
+            size = next((job.info[key] for key in ("len", "level", "top") if key in job.info), None)
+            shapes.setdefault((job.kind, size), []).append(job)
+        for kind, size in sorted(shapes, key=lambda shape: (shape[0], shape[1] or 0)):
+            groups[workload, kind, size] = shapes[kind, size]
+    return groups
+
+
+def group_sizes(groups):
+    """The number of jobs of each group, the part of the groups both
+    checkouts must agree on."""
+    return {key: len(jobs) for key, jobs in groups.items()}
 
 
 def time_pairs(call_a, call_b, pairs, setup_a=None, setup_b=None):
@@ -78,7 +138,7 @@ def summary(label, times_a, times_b):
 
     ratio = statistics.median(b / a for a, b in zip(times_a, times_b))
     won = sum(b < a for a, b in zip(times_a, times_b))
-    return f"{label:<12} A {ms(times_a)}  B {ms(times_b)}  B/A {ratio:.2f}  B won {won}/{len(times_a)}"
+    return f"{label:<24} A {ms(times_a)}  B {ms(times_b)}  B/A {ratio:.2f}  B won {won}/{len(times_a)}"
 
 
 def clear_tables(package):
@@ -102,16 +162,10 @@ def report(label, a, b, call, pairs, setup=None):
             call(a)
             call(b)
         except Exception as exc:  # an older checkout may not run the call
-            print(f"{label:<12} not timed: {type(exc).__name__}: {exc}")
+            print(f"{label:<24} not timed: {type(exc).__name__}: {exc}")
             return
     setups = (None, None) if setup is None else (setup(a), setup(b))
     print(summary(label, *time_pairs(lambda: call(a), lambda: call(b), pairs, *setups)))
-
-
-def run_suite(cli):
-    """``w22 suite`` through the ``cli`` module given, its output discarded."""
-    with contextlib.redirect_stdout(io.StringIO()):
-        return cli.main(["suite"])
 
 
 def locus_point(package, m):
@@ -127,34 +181,36 @@ def main(argv=None):
     parser.add_argument("checkout_b")
     parser.add_argument("--pairs", type=int, default=20)
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2: the quartiles need two times per side")
     a, b = load(args.checkout_a, "w22_a"), load(args.checkout_b, "w22_b")
     print(f"A = {args.checkout_a}\nB = {args.checkout_b}\nms per call: median [q1, q3]")
+    groups = {p: job_groups(p) for p in (a, b)}
+    if group_sizes(groups[a]) != group_sizes(groups[b]):
+        sys.exit("error: the two checkouts build different benchmark job groups")
+    for key in groups[a]:
+        label = " ".join(str(part) for part in key if part is not None)
+        report(label, a, b, lambda p: [job.run() for job in groups[p][key]], args.pairs)
     for length in range(7, 11):
         words = {p: tuple(p.L(1 - k) for k in range(length)) for p in (a, b)}
-
-        def order(p):
-            p.pbw.normal_order(words[p])
-
-        report(f"cold len {length}", a, b, order, args.pairs, clear_tables)
-        report(f"warm len {length}", a, b, order, args.pairs)
+        report(f"cold len {length}", a, b, lambda p: p.pbw.normal_order(words[p]), args.pairs, clear_tables)
     # pbw_words spells its words in the w22 of this checkout; each package
     # gets the same words in its own generators.
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     from pbw_words import l6i6_words, mixed_words
 
-    def respelt(words):
-        return {p: [tuple(p.Generator(g.kind, g.index) for g in w) for w in words] for p in (a, b)}
-
     def order_all(words):
+        words = {p: [tuple(p.Generator(g.kind, g.index) for g in w) for w in words] for p in (a, b)}
+
         def order(p):
             for word in words[p]:
                 p.pbw.normal_order(word)
 
         return order
 
-    for length in (8, 10, 12):
-        report(f"warm mix {length}", a, b, order_all(respelt(mixed_words(length))), args.pairs)
-    report("warm l6i6", a, b, order_all(respelt(l6i6_words())), args.pairs)
+    report("warm mix 12", a, b, order_all(mixed_words(12)), args.pairs)
+    report("warm l6i6", a, b, order_all(l6i6_words()), args.pairs)
+    report("cold l6i6", a, b, order_all(l6i6_words()), args.pairs, clear_tables)
     generator_pairs = {
         p: [(p.pbw.ue(x), p.pbw.ue(y)) for x in p.generator_window(3) for y in p.generator_window(3)]
         for p in (a, b)
@@ -167,19 +223,16 @@ def main(argv=None):
     report("warm comm 3", a, b, commutators, args.pairs)
     for m in (2, 3):
         points = {p: locus_point(p, m) for p in (a, b)}
-
-        def singular(p):
-            p.verma.singular_vectors(m, points[p])
-
+        singular = lambda p: p.verma.singular_vectors(m, points[p])
         report(f"cold sing {m}", a, b, singular, args.pairs, clear_verma_tables)
-        report(f"warm sing {m}", a, b, singular, args.pairs)
+    points = {p: p.verma.HWParams.rational(Fraction(1, 3), -2, 0, 0) for p in (a, b)}
+    report("warm sing 6 c0=c1=0", a, b, lambda p: p.verma.singular_vectors(6, points[p]), args.pairs)
     points = {p: p.verma.HWParams.rational(Fraction(-9, 4), 0, 1, 8) for p in (a, b)}
     report("warm gram 10", a, b, lambda p: p.verma.gram_matrix(10, points[p], 10), args.pairs)
-    report("warm corpus", a, b, lambda p: p.identities.run_corpus(), args.pairs)
+    report("cold gram 8", a, b, lambda p: p.verma.gram_matrix(8, points[p]), args.pairs, clear_verma_tables)
+    points = {p: p.verma.HWParams.symbolic() for p in (a, b)}
+    report("warm det 8 symbolic", a, b, lambda p: p.verma.shapovalov_det(8, points[p]), args.pairs)
     report("warm jacobi 6", a, b, lambda p: p.algebra.jacobi_report(6), args.pairs)
-    # The package does not import its cli module; import each copy's own.
-    cli = {p: importlib.import_module(f"{p.__name__}.cli") for p in (a, b)}
-    report("suite", a, b, lambda p: run_suite(cli[p]), args.pairs)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
-"""Seeded PBW word shapes shared by the tests, the PBW timing and the A/B
-timing helper: mixed L/I words, L6I6 words (six L letters before six I
-letters) and reversed L-words ``L(1)L(0)L(-1)...``."""
+"""Seeded PBW word shapes shared by the tests and the A/B timing helper:
+mixed L/I words, L6I6 words (six L letters before six I letters) and
+reversed L-words ``L(1)L(0)L(-1)...``."""
 
 import random
 

@@ -1,8 +1,11 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -268,6 +271,22 @@ class TestRoundTrip:
 
 
 class TestExitCodes:
+    def test_closed_stdout_exits_quietly(self):
+        # About 176 KB, more than a pipe holds, so the write meets the
+        # closed pipe.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "w22.cli", "gram", "--level", "8"],
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+        assert proc.stdout.read(10) == b'{"level": '
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert err == b""
+        assert proc.returncode == 141
+
     def test_usage_error_on_float(self, capsys):
         code, _, err = run(capsys, "criterion", "--c0", "1.5", "--c1", "2")
         assert code == 2

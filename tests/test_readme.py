@@ -1,6 +1,8 @@
 """The README's library quickstart runs, and each of its comments shows
-the ``repr`` of the line it follows, as a REPL would echo it."""
+the ``repr`` of the line it follows, as a REPL would echo it.  Every file
+under ``tests/`` or ``perfbench/`` that the README names exists."""
 
+import re
 from pathlib import Path
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -30,3 +32,9 @@ def test_quickstart_comments_show_the_repr():
             assert comment.strip() == shown, line
             checked += 1
     assert checked == 5
+
+
+def test_named_files_exist():
+    named = set(re.findall(r"\b(?:tests|perfbench)/[\w./-]*\w", README.read_text()))
+    assert "tests/ab_timing.py" in named
+    assert sorted(path for path in named if not (README.parent / path).is_file()) == []
