@@ -21,8 +21,16 @@ denominators.  Integer sums and products are exact, and the one
 ``Fraction`` per output term reduces by a gcd, so the stored coefficients
 are the same canonical fractions as a term-by-term ``Fraction`` product
 would give, with one normalisation per output term instead of one per pair
-of terms.  The determinant's factors ``f(k)`` have coefficients with
-denominator 1 or 2, so the common denominators stay powers of 2.
+of terms.
+
+Two products take the structure of an operand instead.  A ``Poly`` times
+an ``int`` or ``Fraction`` scales each coefficient, one ``Fraction``
+product per term.  A power of a ``Poly`` of one or two terms is one term
+of the binomial theorem per output term, in ``int`` over the common
+denominator D: the determinant's factors ``f(k)`` have one term (k = 1) or
+two, so every power it takes is in closed form.  Their coefficients have
+denominator 1 or 2, so D, its powers and the denominators of the
+determinant's products are powers of 2.
 """
 
 from __future__ import annotations
@@ -234,9 +242,13 @@ class Poly(Combination):
     :meth:`PolynomialScalars.parse`.  A constant equals, and hashes as, its
     ``Fraction`` value.
 
-    ``*`` multiplies in integers: both operands over their own common
-    denominator, an ``int`` convolution of the numerators, and one reduced
-    ``Fraction`` per nonzero output term (see the module docstring).
+    ``*`` by a ``Poly`` multiplies in integers: both operands over their
+    own common denominator, an ``int`` convolution of the numerators, and
+    one reduced ``Fraction`` per nonzero output term (see the module
+    docstring).  ``*`` by an ``int`` or ``Fraction`` scales each
+    coefficient.  ``**`` of one or two terms is the binomial theorem in
+    closed form (:meth:`_binomial_power`); three or more terms are raised
+    by repeated squaring.
     """
 
     __slots__ = ("_hash",)
@@ -308,9 +320,8 @@ class Poly(Combination):
         return NotImplemented if other is None else other._add(self, _MINUS_ONE)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if not isinstance(other, Poly):
+            return Combination.__mul__(self, other)  # a scalar scales each coefficient
         d1, n1 = _integer_terms(self.terms)
         d2, n2 = _integer_terms(other.terms)
         out = {}
@@ -327,6 +338,10 @@ class Poly(Combination):
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        if not self.terms:
+            return Poly.one() if n == 0 else self
+        if len(self.terms) <= 2:
+            return self._binomial_power(n)
         result = Poly.one()
         base = self
         while n:
@@ -336,6 +351,31 @@ class Poly(Combination):
             if n:  # the square after the top bit would go unused
                 base = base * base
         return result
+
+    def _binomial_power(self, n: int) -> "Poly":
+        """``self ** n`` for one or two terms, ``(a x + b y)^n / D^n`` over
+        the common denominator D, by the binomial theorem: the term
+        ``C(n, j) a^(n-j) b^j x^(n-j) y^j / D^n`` for j = 0..n, with b = 0
+        and j = 0 only for one term.  Distinct x and y give distinct
+        exponents for distinct j, so each term is one reduced ``Fraction``
+        and no two terms meet."""
+        den, items = _integer_terms(self.terms)
+        (x, a), (y, b) = items if len(items) == 2 else (items[0], (_ZERO_EXP, 0))
+        x0, x1, x2, x3 = x
+        y0, y1, y2, y3 = y
+        a_powers = [1]  # a^k for k = 0..n, read from the top as j rises
+        for _ in range(n):
+            a_powers.append(a_powers[-1] * a)
+        top = den**n
+        out = {}
+        binomial = b_power = 1
+        for j in range(n + 1 if b else 1):
+            k = n - j
+            exp = (x0 * k + y0 * j, x1 * k + y1 * j, x2 * k + y2 * j, x3 * k + y3 * j)
+            out[exp] = Fraction(binomial * a_powers[k] * b_power, top)
+            binomial = binomial * k // (j + 1)
+            b_power *= b
+        return self._with(out)
 
     def __eq__(self, other):
         if isinstance(other, Poly):

@@ -26,7 +26,6 @@ degenerate level, which take rational points only.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -388,17 +387,30 @@ def shapovalov_det(n: int, p: HWParams, max_level: int = DEFAULT_MAX_LEVEL):
 @lru_cache(maxsize=None)
 def _det_shape(n: int):
     """The point-free part of the level-n determinant: the exponent E_k of
-    each f(k), ascending in k, and ``prod m_k!`` with the swap sign."""
-    exponents = Counter()
+    each f(k), ascending in k, and ``prod m_k!`` with the swap sign,
+    counted from the partition numbers without a walk over the basis.
+
+    Removing j parts k from one colour maps the basis elements with at
+    least j parts k in that colour one to one onto level n - jk, so there
+    are ``p2(n - jk)`` of them, p2 counting two-coloured partitions.  Hence
+    ``E_k = 2 sum_{j >= 1} p2(n - jk)``, and
+    ``2 (p2(n - mk) - p2(n - (m + 1) k))`` pairs of an element and a
+    colour hold the part k exactly m times, each giving a factor m!.  The
+    elements with ``mu == nu`` are the ``p(n/2)`` for even n, none for odd
+    n, and the rest pair up under the colour swap."""
+    p = [1] + [0] * n  # p(m), partitions of m, for m = 0..n
+    for part in range(1, n + 1):
+        for m in range(part, n + 1):
+            p[m] += p[m - part]
+    p2 = [sum(p[s] * p[m - s] for s in range(m + 1)) for m in range(n + 1)]
+    exponents = tuple((k, 2 * sum(p2[n - j * k] for j in range(1, n // k + 1))) for k in range(1, n + 1))
     scale = 1
-    swapped = 0
-    for b in _sorted_basis(n):
-        swapped += b.i_part != b.l_part
-        for part in (b.i_part, b.l_part):
-            for k, m in Counter(part).items():
-                exponents[k] += m
-                scale *= factorial(m)
-    return tuple(sorted(exponents.items())), -scale if swapped // 2 % 2 else scale
+    for k in range(1, n // 2 + 1):
+        for m in range(2, n // k + 1):
+            exactly = p2[n - m * k] - (p2[n - (m + 1) * k] if (m + 1) * k <= n else 0)
+            scale *= factorial(m) ** (2 * exactly)
+    swapped = p2[n] - (0 if n % 2 else p[n // 2])
+    return exponents, -scale if swapped // 2 % 2 else scale
 
 
 @dataclass(frozen=True)

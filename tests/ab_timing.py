@@ -33,6 +33,8 @@ the same groups.  Then it times the shapes that no job kind times:
   c0 = c1 = 0, where every f(k) vanishes;
 - ``gram_matrix`` at (-9/4, 0, 1, 8), warm at level 10 and cold at level 8;
 - warm symbolic ``shapovalov_det`` at level 8, the default level bound;
+- warm ``gram_matrix`` at level 6 at a partial ``Poly`` point, (1/3, -2)
+  for (lambda, c) and c0 and c1 symbolic;
 - warm ``jacobi_report(6)``.
 
 The pytest suite does not collect this file (its name does not match
@@ -175,6 +177,14 @@ def locus_point(package, m):
     return package.verma.HWParams.rational(Fraction(1, 3), -2, Fraction(m * m - 1, 24) * c1, c1)
 
 
+def partial_point(package):
+    """A ``Poly`` point with lambda and c rational constants and c0 and c1
+    the ring's variables, as the ``symbolic`` workload draws its partial
+    points."""
+    P = package.PARAM_POLYS
+    return package.verma.HWParams(package.Poly.const(Fraction(1, 3)), package.Poly.const(-2), P.c0, P.c1, P)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout_a")
@@ -232,6 +242,8 @@ def main(argv=None):
     report("cold gram 8", a, b, lambda p: p.verma.gram_matrix(8, points[p]), args.pairs, clear_verma_tables)
     points = {p: p.verma.HWParams.symbolic() for p in (a, b)}
     report("warm det 8 symbolic", a, b, lambda p: p.verma.shapovalov_det(8, points[p]), args.pairs)
+    points = {p: partial_point(p) for p in (a, b)}
+    report("warm gram 6 partial", a, b, lambda p: p.verma.gram_matrix(6, points[p]), args.pairs)
     report("warm jacobi 6", a, b, lambda p: p.algebra.jacobi_report(6), args.pairs)
 
 

@@ -229,6 +229,18 @@ def test_gram_recursion_matches_pairing_assembly(level_point):
     assert entries == expected
 
 
+@derandomized_short
+@given(st.integers(0, 6), rationals | dense_rationals, rationals | dense_rationals)
+def test_poly_det_is_free_of_lambda_and_c(n, lam, c):
+    """At a partial point, lambda and c rational constants and c0 and c1
+    the ring's variables, the determinant is the generic one."""
+    P = PARAM_POLYS
+    partial = shapovalov_det(n, HWParams(Poly.const(lam), Poly.const(c), P.c0, P.c1, P))
+    generic = shapovalov_det(n, HWParams.symbolic())
+    assert type(partial) is Poly
+    assert partial.terms == generic.terms and str(partial) == str(generic)
+
+
 def locus_point(m, c1):
     """(c0, c1) with (m^2 - 1)/12 * c1 = 2 * c0."""
     return Fraction(m * m - 1, 24) * c1, c1
@@ -423,13 +435,42 @@ def test_poly_product_matches_fraction_convolution(xy):
     assert all(type(c) is Fraction and c for c in product.terms.values())
 
 
+# One- and two-term bases take the binomial closed form, and the zero Poly
+# its own case; exponents up to 60 cover the determinant's (36 at level 4).
+few_term_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 4), kernel_scalars.filter(bool), min_size=1, max_size=2
+).map(Poly)
+
+
 @derandomized_short
-@given(polys, st.integers(0, 6))
-def test_poly_power_is_repeated_multiplication(x, k):
+@given(st.tuples(polys, st.integers(0, 6)) | st.tuples(few_term_polys, st.integers(0, 60)))
+def test_poly_power_is_repeated_multiplication(xk):
+    x, k = xk
     expected = PARAM_POLYS.one
     for _ in range(k):
         expected = expected * x
-    assert x ** k == expected
+    power = x ** k
+    assert power == expected and str(power) == str(expected)
+    assert type(power) is Poly
+    assert all(type(c) is Fraction and c for c in power.terms.values())
+
+
+def test_zero_poly_powers():
+    one = Poly() ** 0
+    assert type(one) is Poly and one.terms == {(0, 0, 0, 0): 1}
+    assert type(one.terms[0, 0, 0, 0]) is Fraction
+    for n in range(1, 5):
+        assert type(Poly() ** n) is Poly and not (Poly() ** n).terms
+
+
+@derandomized
+@given(kernel_polys, kernel_scalars | st.just(0) | st.just(Fraction(0)))
+def test_poly_scalar_product_matches_constant_poly_product(x, q):
+    via_constant = x * Poly.const(q)
+    for product in (x * q, q * x):
+        assert type(product) is Poly
+        assert product.terms == via_constant.terms and str(product) == str(via_constant)
+        assert all(type(c) is Fraction and c for c in product.terms.values())
 
 
 @derandomized_short

@@ -3,6 +3,7 @@ import hashlib
 import operator
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
 
@@ -523,6 +524,23 @@ class TestDeterminant:
         # A^2 D^2 E with A = c1/2 - 4 c0, D = 8 c0^2, E = 4 c0^2.
         expected = 64 * C0 ** 6 * (C1V - 8 * C0) ** 2
         assert shapovalov_det(2, HWParams.symbolic()) == expected
+
+    @pytest.mark.parametrize("n", range(17))
+    def test_counted_shape_matches_a_walk_over_the_basis(self, n):
+        # The walk: E_k sums the multiplicities of k over every basis element
+        # and both colours, each multiplicity m gives a factor m!, and the
+        # colour swap pairs up the elements with mu != nu.
+        exponents, scale, swapped = Counter(), 1, 0
+        for s in range(n + 1):
+            for mu in verma.partitions(s):
+                for nu in verma.partitions(n - s):
+                    swapped += mu != nu
+                    for part in (mu, nu):
+                        for k, m in Counter(part).items():
+                            exponents[k] += m
+                            scale *= factorial(m)
+        sign = -1 if swapped // 2 % 2 else 1
+        assert verma._det_shape(n) == (tuple(sorted(exponents.items())), sign * scale)
 
     def test_determinant_has_no_lambda_or_c_dependence_at_low_levels(self):
         points = [(0, 0), (2, 1), (-1, 1)]
