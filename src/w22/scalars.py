@@ -25,12 +25,10 @@ of terms.
 
 Two products take the structure of an operand instead.  A ``Poly`` times
 an ``int`` or ``Fraction`` scales each coefficient, one ``Fraction``
-product per term.  A power of a ``Poly`` of one or two terms is one term
-of the binomial theorem per output term, in ``int`` over the common
-denominator D: the determinant's factors ``f(k)`` have one term (k = 1) or
-two, so every power it takes is in closed form.  Their coefficients have
-denominator 1 or 2, so D, its powers and the denominators of the
-determinant's products are powers of 2.
+product per term.  A binary form with ``int`` coefficients at two
+single-term values (``_binary_form``) is one reduced ``Fraction`` per
+output term: the symbolic determinant is one such form, at (c0, c1/24).
+A power is repeated squaring.
 """
 
 from __future__ import annotations
@@ -246,9 +244,7 @@ class Poly(Combination):
     own common denominator, an ``int`` convolution of the numerators, and
     one reduced ``Fraction`` per nonzero output term (see the module
     docstring).  ``*`` by an ``int`` or ``Fraction`` scales each
-    coefficient.  ``**`` of one or two terms is the binomial theorem in
-    closed form (:meth:`_binomial_power`); three or more terms are raised
-    by repeated squaring.
+    coefficient.  ``**`` is repeated squaring.
     """
 
     __slots__ = ("_hash",)
@@ -340,8 +336,6 @@ class Poly(Combination):
             raise ValueError("exponent must be a nonnegative integer")
         if not self.terms:
             return Poly.one() if n == 0 else self
-        if len(self.terms) <= 2:
-            return self._binomial_power(n)
         result = Poly.one()
         base = self
         while n:
@@ -351,31 +345,6 @@ class Poly(Combination):
             if n:  # the square after the top bit would go unused
                 base = base * base
         return result
-
-    def _binomial_power(self, n: int) -> "Poly":
-        """``self ** n`` for one or two terms, ``(a x + b y)^n / D^n`` over
-        the common denominator D, by the binomial theorem: the term
-        ``C(n, j) a^(n-j) b^j x^(n-j) y^j / D^n`` for j = 0..n, with b = 0
-        and j = 0 only for one term.  Distinct x and y give distinct
-        exponents for distinct j, so each term is one reduced ``Fraction``
-        and no two terms meet."""
-        den, items = _integer_terms(self.terms)
-        (x, a), (y, b) = items if len(items) == 2 else (items[0], (_ZERO_EXP, 0))
-        x0, x1, x2, x3 = x
-        y0, y1, y2, y3 = y
-        a_powers = [1]  # a^k for k = 0..n, read from the top as j rises
-        for _ in range(n):
-            a_powers.append(a_powers[-1] * a)
-        top = den**n
-        out = {}
-        binomial = b_power = 1
-        for j in range(n + 1 if b else 1):
-            k = n - j
-            exp = (x0 * k + y0 * j, x1 * k + y1 * j, x2 * k + y2 * j, x3 * k + y3 * j)
-            out[exp] = Fraction(binomial * a_powers[k] * b_power, top)
-            binomial = binomial * k // (j + 1)
-            b_power *= b
-        return self._with(out)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -445,6 +414,41 @@ class Poly(Combination):
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+def _binary_form(coeffs, degree: int, x: Poly, y: Poly) -> Poly:
+    """``sum_j coeffs[j] x^(degree - j) y^j``, an int binary form of degree
+    ``degree >= len(coeffs) - 1`` at two ``Poly`` values, for nonzero int
+    ``coeffs``.
+
+    If x and y are single terms ``a X`` and ``b Y`` with ``X != Y``, term
+    j is ``coeffs[j] a^degree (b / a)^j`` at exponent ``(degree - j) X +
+    j Y``: distinct exponents, so no two terms meet, and each coefficient
+    is one reduced ``Fraction`` of an int numerator and denominator.  Any
+    other x and y, a zero, a sum, or two terms on one monomial, where the
+    terms meet, go by Horner's rule in ring arithmetic."""
+    if len(x.terms) == len(y.terms) == 1 and x.terms.keys() != y.terms.keys():
+        ((x_exp, a),) = x.terms.items()
+        ((y_exp, b),) = y.terms.items()
+        ratio = b / a
+        step_num, step_den = ratio.numerator, ratio.denominator
+        num, den = a.numerator**degree, a.denominator**degree
+        x0, x1, x2, x3 = x_exp
+        y0, y1, y2, y3 = y_exp
+        out = {}
+        for j, coef in enumerate(coeffs):
+            k = degree - j
+            exp = (x0 * k + y0 * j, x1 * k + y1 * j, x2 * k + y2 * j, x3 * k + y3 * j)
+            out[exp] = Fraction(coef * num, den)
+            num *= step_num
+            den *= step_den
+        return Poly._with(out)
+    # sum_j coeffs[j] x^(m - j) y^j for m = len(coeffs) - 1, then times x^(degree - m)
+    horner, y_power = Poly(), Poly.one()
+    for coef in coeffs:
+        horner = horner * x + coef * y_power
+        y_power = y_power * y
+    return x ** (degree - len(coeffs) + 1) * horner
 
 
 def _parse_poly(text: str) -> Poly:

@@ -34,7 +34,7 @@ from typing import NamedTuple, Optional
 
 from . import linalg
 from .algebra import Generator, I, L, bracket_gen
-from .scalars import _ONE, PARAM_POLYS, QQ, Combination, _accumulate, _integer_terms
+from .scalars import _ONE, PARAM_POLYS, QQ, Combination, _accumulate, _binary_form, _integer_terms
 
 __all__ = [
     "DEFAULT_MAX_LEVEL",
@@ -320,7 +320,9 @@ def gram_matrix(n: int, p: HWParams, max_level: int = DEFAULT_MAX_LEVEL) -> Gram
 
 def _f(k: int, c0, c1):
     """``<I(-k) v, L(-k) v> = -k (2 c0 - (k^2 - 1)/12 c1)``, the only factor
-    of the Shapovalov determinant."""
+    of the Shapovalov determinant, at a rational point: at a ``Poly`` point
+    the determinant is expanded as one binary form
+    (:func:`_expanded_det`)."""
     return -k * (2 * c0 - Fraction(k * k - 1, 12) * c1)
 
 
@@ -372,9 +374,21 @@ def shapovalov_det(n: int, p: HWParams, max_level: int = DEFAULT_MAX_LEVEL):
     where s_n counts the basis elements with ``mu == nu``.  The exponents
     are collected per k first, so each ``f(k)`` is raised to a power once,
     and a zero ``f(k)`` ends the product.
+
+    At a ``Poly`` point the product is expanded as one binary form.  With
+    ``x = c0`` and ``y = c1/24``, ``f(k) = -2k (x - (k^2 - 1) y)``, so the
+    determinant is ``C * B(x, y)``: the int ``C = scale * prod (-2k)^{E_k}``
+    times ``B = prod_k (x - (k^2 - 1) y)^{E_k} = sum_j G_j x^(D-j) y^j``,
+    D the sum of the E_k and every G_j an int (:func:`_expanded_det`).  The
+    coefficient of ``c0^(D-j) c1^j`` is ``C G_j / 24^j``, so the ints
+    ``C G_j`` differ from the numerators of the reduced coefficients by
+    powers of 2 and 3 only; expanding ``-24 c0 + (k^2 - 1) c1`` instead
+    would carry a spare ``24^(D-j)`` in every coefficient.
     """
     _check_level(n, max_level)
     exponents, scale = _det_shape(n)
+    if not p.ring.is_field:
+        return _expanded_det(exponents, scale, p.c0, p.c1)
     factors = [(_f(k, p.c0, p.c1), e) for k, e in exponents]
     if not all(fk for fk, _ in factors):
         return p.ring.zero
@@ -382,6 +396,33 @@ def shapovalov_det(n: int, p: HWParams, max_level: int = DEFAULT_MAX_LEVEL):
     for fk, e in factors:
         det = det * fk ** e
     return det
+
+
+def _expanded_det(exponents, scale, c0, c1):
+    """``scale * prod_k f(k)^{E_k}`` at the ``Poly`` point (c0, c1), for
+    the exponents and scale of :func:`_det_shape`, as ``C * B(c0, c1/24)``
+    (see :func:`shapovalov_det`).
+
+    B is expanded once as the ints G_j: the factor ``x^(E_1)`` of k = 1
+    only adds to D, and each ``x - (k^2 - 1) y`` of k >= 2 is multiplied
+    in E_k times, by ``G_j -= (k^2 - 1) G_(j-1)`` in place from the top:
+    an int product with a small factor, where the row
+    ``C(E_k, j) (1 - k^2)^j`` of the binomial theorem would multiply the
+    long G_j by long row entries.  Every ``1 - k^2`` is negative, so G_j
+    has the sign of ``(-1)^j`` and is never 0, and the coefficients
+    ``C G_j`` are placed at (c0, c1/24) by
+    :func:`~w22.scalars._binary_form`."""
+    const, degree, g = scale, 0, [1]
+    for k, e in exponents:
+        const *= (-2 * k) ** e
+        degree += e
+        if k > 1:
+            a = 1 - k * k
+            for _ in range(e):
+                g.append(0)
+                for j in range(len(g) - 1, 0, -1):
+                    g[j] += a * g[j - 1]
+    return _binary_form([const * gj for gj in g], degree, c0, c1 * Fraction(1, 24))
 
 
 @lru_cache(maxsize=None)

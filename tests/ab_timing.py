@@ -32,7 +32,8 @@ the same groups.  Then it times the shapes that no job kind times:
   (the Verma tables cleared before each call), and warm at level 6 at
   c0 = c1 = 0, where every f(k) vanishes;
 - ``gram_matrix`` at (-9/4, 0, 1, 8), warm at level 10 and cold at level 8;
-- warm symbolic ``shapovalov_det`` at level 8, the default level bound;
+- warm symbolic ``shapovalov_det`` at level 8, the default level bound,
+  and at level 10;
 - warm ``gram_matrix`` at level 6 at a partial ``Poly`` point, (1/3, -2)
   for (lambda, c) and c0 and c1 symbolic;
 - warm ``jacobi_report(6)``.
@@ -242,6 +243,7 @@ def main(argv=None):
     report("cold gram 8", a, b, lambda p: p.verma.gram_matrix(8, points[p]), args.pairs, clear_verma_tables)
     points = {p: p.verma.HWParams.symbolic() for p in (a, b)}
     report("warm det 8 symbolic", a, b, lambda p: p.verma.shapovalov_det(8, points[p]), args.pairs)
+    report("warm det 10 symbolic", a, b, lambda p: p.verma.shapovalov_det(10, points[p], 10), args.pairs)
     points = {p: partial_point(p) for p in (a, b)}
     report("warm gram 6 partial", a, b, lambda p: p.verma.gram_matrix(6, points[p]), args.pairs)
     report("warm jacobi 6", a, b, lambda p: p.algebra.jacobi_report(6), args.pairs)

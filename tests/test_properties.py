@@ -7,7 +7,8 @@ elements, Verma vectors and polynomials, zero-free sums, products and
 normal forms, the point-free action table
 against the per-point recursion, the I(0) nilpotency degree against dense
 powers, the symmetry of the Gram matrix, the closed-form determinant
-against Bareiss on the full Gram matrix, the level recursion of the Gram
+against Bareiss on the full Gram matrix, the expanded determinant at Poly
+points against the ring product of its factors, the level recursion of the Gram
 matrix against the brute-force pairing, the irreducibility criterion
 against a scan of its equation, the first degenerate level against the
 criterion and against the determinants, the
@@ -17,12 +18,14 @@ dense Gauss-Jordan, and the Poly ring."""
 from fractions import Fraction
 from math import floor, isqrt, lcm
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_kernel import action_rows, dense_nilpotency_degree, dense_nullspace, det, is_symmetric
 from involutions import omega
 from naive_action import naive_image, pairing_gram
 from naive_rewriter import naive_normal_order
+from test_verma import ring_product_det
 from w22 import linalg, verma
 from w22.algebra import C, C1, I, L, LieElement, bracket, generator_window
 from w22.pbw import UEElement, multiply, normal_order
@@ -246,6 +249,43 @@ def locus_point(m, c1):
     return Fraction(m * m - 1, 24) * c1, c1
 
 
+# Poly values of (c0, c1) for the expanded determinant: single terms on
+# random monomials, both on one monomial (constants among them, and
+# constants on a locus, where the determinant is 0), a zero, and a sum.
+monomials = st.tuples(*[st.integers(0, 2)] * 4)
+single_terms = st.builds(lambda e, q: Poly({e: q}), monomials, rationals.filter(bool))
+POLY_C0_C1 = {
+    "single terms": st.tuples(single_terms, single_terms),
+    "one monomial": st.builds(
+        lambda e, q, r: (Poly({e: q}), Poly({e: r})),
+        monomials | st.just((0, 0, 0, 0)),
+        rationals.filter(bool),
+        rationals.filter(bool),
+    ),
+    "locus constants": st.builds(
+        lambda m, c1: tuple(Poly.const(x) for x in locus_point(m, c1)), st.integers(1, 6), rationals.filter(bool)
+    ),
+    "zero c0": st.tuples(st.just(Poly()), single_terms),
+    "zero c1": st.tuples(single_terms, st.just(Poly())),
+    "two-term c0": st.tuples(
+        st.dictionaries(monomials, rationals.filter(bool), min_size=2, max_size=2).map(Poly), single_terms
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", POLY_C0_C1)
+@derandomized_short
+@given(data=st.data())
+def test_poly_det_matches_ring_product(kind, data):
+    n = data.draw(st.integers(0, 5))
+    P = PARAM_POLYS
+    p = HWParams(P.lam, P.c, *data.draw(POLY_C0_C1[kind]), P)
+    expanded, expected = shapovalov_det(n, p), ring_product_det(n, p)
+    assert type(expanded) is Poly
+    assert expanded.terms == expected.terms and str(expanded) == str(expected)
+    assert all(type(c) is Fraction and c for c in expanded.terms.values())
+
+
 @derandomized_short
 @given(
     st.tuples(rationals, rationals)
@@ -435,8 +475,9 @@ def test_poly_product_matches_fraction_convolution(xy):
     assert all(type(c) is Fraction and c for c in product.terms.values())
 
 
-# One- and two-term bases take the binomial closed form, and the zero Poly
-# its own case; exponents up to 60 cover the determinant's (36 at level 4).
+# Repeated squaring, on any base to small exponents and on one- and
+# two-term bases, the shape of each f(k) that the determinant's ring-product
+# oracle raises, to exponents up to 60; the zero Poly is its own case.
 few_term_polys = st.dictionaries(
     st.tuples(*[st.integers(0, 2)] * 4), kernel_scalars.filter(bool), min_size=1, max_size=2
 ).map(Poly)

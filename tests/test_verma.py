@@ -434,6 +434,17 @@ def _diagonal_entry(b, p):
     return out
 
 
+def ring_product_det(n, p):
+    """``scale * prod_k f(k)^{E_k}`` multiplied out factor by factor in the
+    arithmetic of the ring of p: the oracle for the expanded binary form
+    that shapovalov_det builds at a Poly point."""
+    exponents, scale = verma._det_shape(n)
+    out = p.ring.one * scale
+    for k, e in exponents:
+        out = out * _f(k, p) ** e
+    return out
+
+
 class TestGramBlocks:
     """The zero pattern and the triangular structure behind the product in
     shapovalov_det, and the product itself against full Bareiss on the whole
@@ -541,6 +552,14 @@ class TestDeterminant:
                             scale *= factorial(m)
         sign = -1 if swapped // 2 % 2 else 1
         assert verma._det_shape(n) == (tuple(sorted(exponents.items())), sign * scale)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_expanded_form_matches_the_ring_product(self, n):
+        p = HWParams.symbolic()
+        expanded, expected = shapovalov_det(n, p), ring_product_det(n, p)
+        assert type(expanded) is Poly
+        assert expanded.terms == expected.terms and str(expanded) == str(expected)
+        assert all(type(c) is Fraction and c for c in expanded.terms.values())
 
     def test_determinant_has_no_lambda_or_c_dependence_at_low_levels(self):
         points = [(0, 0), (2, 1), (-1, 1)]
