@@ -13,8 +13,10 @@ everything downstream (normal ordering, module actions, Gram matrices) is
 derived from :func:`bracket_gen`.
 
 Symbols and constants are native values, because every rewriting step
-hashes, compares and multiplies them.  A :class:`Generator` is a tuple, so
-its hash, equality and canonical order are the built-in tuple ones.  The
+hashes, compares and multiplies them.  A :class:`Generator` is an ``int``
+whose value is its canonical sort key, so its hash, equality and canonical
+order are the built-in ``int`` ones, and a word of generators hashes and
+compares as a tuple of ints.  The
 structure constants ``m - n`` are ``int``, and so is a central coefficient
 ``(n^3 - n)/12`` that is an integer (``n`` not 2 mod 4); the others are
 ``Fraction``.  The two mix exactly.  A
@@ -26,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
 
 from .scalars import Combination, _accumulate
 
@@ -52,18 +53,31 @@ __all__ = [
 INDEX_LIMIT = 10**6
 
 _RANK = {"C": 0, "C1": 1, "I": 2, "L": 3}
+_KINDS = tuple(_RANK)
+# A generator's value is rank * 2**_SHIFT + index + _OFFSET, with
+# |index| <= INDEX_LIMIT < _OFFSET, so the index field never reaches the rank.
+_SHIFT = 22
+_OFFSET = 1 << (_SHIFT - 1)
+_INDEX_MASK = (1 << _SHIFT) - 1
 
 
 class IndexLimitError(ValueError):
     """A generator index exceeded the configured bound."""
 
 
-class Generator(tuple):
+class Generator(int):
     """One basis symbol: ``L(n)``, ``I(n)``, ``C`` or ``C1``.
 
-    Stored as the tuple ``(rank, index, kind)`` with rank 0, 1, 2, 3 for C,
-    C1, I, L, so hashing, equality and ``<`` run on the built-in tuple and
-    tuple order is the canonical order ``C < C1 < I(n) asc < L(n) asc``.
+    Stored as the ``int`` ``rank * 2**22 + index + 2**21`` with rank 0, 1,
+    2, 3 for C, C1, I, L.  As ``|index| <= INDEX_LIMIT < 2**21``, ``int``
+    order is the canonical order ``C < C1 < I(n) asc < L(n) asc``, so
+    hashing, equality and ``<`` run on the built-in ``int``.
+
+    A generator equals its ``int`` value and ``L(1) + 1`` is ``int``
+    arithmetic, but a generator is never a scalar: every scalar check of
+    :mod:`w22.scalars` takes ``int`` by exact type, so a combination times
+    a generator, or a generator coerced to a scalar, raises ``TypeError``,
+    and a ``Poly`` to a generator's power raises ``ValueError``.
     """
 
     __slots__ = ()
@@ -77,21 +91,21 @@ class Generator(tuple):
                 raise ValueError("central generators carry no index")
         elif abs(index) > INDEX_LIMIT:
             raise IndexLimitError(f"index {index} exceeds the configured bound {INDEX_LIMIT}")
-        return tuple.__new__(cls, (rank, index, kind))
+        return int.__new__(cls, (rank << _SHIFT) + index + _OFFSET)
 
     def __getnewargs__(self):
-        return (self[2], self[1])
+        return (self.kind, self.index)
 
-    kind = property(itemgetter(2))
-    index = property(itemgetter(1))
+    kind = property(lambda self: _KINDS[self >> _SHIFT])
+    index = property(lambda self: (self & _INDEX_MASK) - _OFFSET)
     # The central generators have index 0, so the ad-L(0) eigenvalue (n for
     # L(n) and I(n), 0 for C, C1) is the index.
     weight = index
 
     def __str__(self) -> str:
-        if self[0] < 2:
-            return self[2]
-        return f"{self[2]}({self[1]})"
+        if self >> _SHIFT < 2:
+            return self.kind
+        return f"{self.kind}({self.index})"
 
     __repr__ = __str__
 

@@ -37,10 +37,10 @@ word.
 Rewriting terminates and the normal form is unique (PBW), so the order in
 which inversions are rewritten does not matter.
 
-A word is a tuple of :class:`~w22.algebra.Generator` tuples, so table keys
-and output words hash and compare in C.  Coefficients stay ``int`` until a
-central term ``(n^3 - n)/12`` that is not an integer brings in a
-``Fraction``.
+A word is a tuple of :class:`~w22.algebra.Generator` ints, so table keys
+and output words hash and compare as tuples of ints.  Coefficients stay
+``int`` until a central term ``(n^3 - n)/12`` that is not an integer
+brings in a ``Fraction``.
 
 ``C`` and ``C1`` stay formal generators here; they are only evaluated to
 scalars inside the Verma machinery.

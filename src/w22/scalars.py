@@ -103,7 +103,7 @@ def parse_rational(text: str) -> Fraction:
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if type(value) is int:
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
@@ -149,7 +149,9 @@ class Combination:
     """A finite linear combination with exact coefficients: ``terms`` maps
     each key to its coefficient and holds no zero coefficient.  A
     combination is never mutated, so a sum with a zero operand returns the
-    other operand itself.  A scalar is an ``int``, ``Fraction`` or ``Poly``.
+    other operand itself.  A scalar is an ``int``, ``Fraction`` or ``Poly``;
+    ``int`` by exact type, as a :class:`~w22.algebra.Generator` is an
+    ``int`` subclass and never a scalar.
 
     The constructor drops zero coefficients; ``_with`` builds from terms
     that hold none, with no second pass.  Sums drop zeros as they
@@ -200,7 +202,7 @@ class Combination:
         return self._with({key: -coef for key, coef in self.terms.items()})
 
     def __mul__(self, scalar):
-        if not isinstance(scalar, (int, Fraction, Poly)):
+        if type(scalar) is not int and not isinstance(scalar, (Fraction, Poly)):
             return NotImplemented
         if not scalar:
             return self._with({})
@@ -299,7 +301,7 @@ class Poly(Combination):
     def _coerce(other):
         if isinstance(other, Poly):
             return other
-        if isinstance(other, (Fraction, int)):
+        if type(other) is int or isinstance(other, Fraction):
             return Poly.const(other)
         return None
 
@@ -332,7 +334,7 @@ class Poly(Combination):
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
         if not self.terms:
             return Poly.one() if n == 0 else self
@@ -349,7 +351,7 @@ class Poly(Combination):
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.terms == other.terms
-        if isinstance(other, (Fraction, int)):
+        if type(other) is int or isinstance(other, Fraction):
             return self.is_constant() and self.constant_value() == other
         return NotImplemented
 

@@ -11,6 +11,7 @@ from w22.algebra import (
     C1,
     Generator,
     I,
+    INDEX_LIMIT,
     IndexLimitError,
     L,
     LieElement,
@@ -193,7 +194,8 @@ class TestScalarMultiplication:
 
     ELEMENTS = [LieElement({L(1): 1}), ue(L(1)), VermaVector(0, {EMPTY_MONOMIAL: Fraction(1)})]
 
-    @pytest.mark.parametrize("scalar", [2.5, 0.5, 1j, None, "2"])
+    # A Generator is an int subclass, and never a scalar.
+    @pytest.mark.parametrize("scalar", [2.5, 0.5, 1j, None, "2", L(2), I(-1), C])
     def test_inexact_scalars_are_rejected(self, scalar):
         for x in self.ELEMENTS:
             with pytest.raises(TypeError):
@@ -258,6 +260,11 @@ class TestWeight:
 
 
 class TestGeneratorContract:
+    # The window of small indices, and the letters at the edges of the
+    # encoding: the least and greatest index of each kind.
+    EDGES = [C, C1, I(-INDEX_LIMIT), I(INDEX_LIMIT), L(-INDEX_LIMIT), L(INDEX_LIMIT)]
+    LETTERS = generator_window(3) + EDGES
+
     def test_order_follows_sort_key(self):
         # The canonical order C < C1 < I(n) asc < L(n) asc, as (rank, index).
         rank = {"C": 0, "C1": 1, "I": 2, "L": 3}
@@ -265,23 +272,21 @@ class TestGeneratorContract:
         def key(g):
             return rank[g.kind], g.index
 
-        window = generator_window(3)
-        for a in window:
-            for b in window:
+        for a in self.LETTERS:
+            for b in self.LETTERS:
                 assert (a < b) == (key(a) < key(b))
                 assert (a <= b) == (key(a) <= key(b))
 
     def test_equality_and_hash_follow_kind_and_index(self):
-        window = generator_window(3)
-        for a in window:
+        for a in self.LETTERS:
             twin = Generator(a.kind, a.index)
             assert twin == a and hash(twin) == hash(a)
-            for b in window:
+            for b in self.LETTERS:
                 assert (a == b) == ((a.kind, a.index) == (b.kind, b.index))
-        assert len(set(window)) == len(window)
+        assert len(set(self.LETTERS)) == len(set(map(str, self.LETTERS)))
 
     def test_copy_and_pickle_round_trip(self):
-        for g in (C, C1, I(-3), L(0), L(5)):
+        for g in [I(-3), L(0), L(5)] + self.EDGES:
             for twin in [copy.copy(g), copy.deepcopy(g)] + [
                 pickle.loads(pickle.dumps(g, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
             ]:

@@ -270,6 +270,23 @@ class TestRoundTrip:
         assert (code, out) == run(capsys, *head, *joined)[:2]
 
 
+def test_suite_output_does_not_depend_on_the_hash_seed():
+    # Generators hash as ints, so no str hash, and no hash seed, reaches
+    # the order of any output.
+    outs = [
+        subprocess.run(
+            [sys.executable, "-m", "w22.cli", "suite"],
+            stdin=subprocess.DEVNULL,
+            capture_output=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "PYTHONHASHSEED": seed},
+        )
+        for seed in ("0", "1")
+    ]
+    assert outs[0].returncode == outs[1].returncode == 0
+    assert outs[0].stdout == outs[1].stdout and outs[0].stdout
+
+
 class TestExitCodes:
     def test_closed_stdout_exits_quietly(self):
         # About 176 KB, more than a pipe holds, so the write meets the

@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from w22.algebra import C, I, L
 from w22.scalars import PARAM_POLYS, QQ, DigitLimitError, Poly, parse_rational
+from w22.verma import HWParams
 
 
 def test_parse_rational_accepts_exact_literals():
@@ -102,3 +104,22 @@ def test_poly_exact_division():
         (lam * lam + 1).exact_div(lam + 1)
     with pytest.raises(ZeroDivisionError):
         lam.exact_div(Poly())
+
+
+_NOT_A_SCALAR = [
+    (QQ.coerce, TypeError),
+    (Poly.const, TypeError),
+    (lambda g: PARAM_POLYS.c0 + g, TypeError),
+    (lambda g: PARAM_POLYS.c0 * g, TypeError),
+    # A non-int exponent is refused by the exponent check.
+    (lambda g: PARAM_POLYS.c0 ** g, ValueError),
+    (lambda g: HWParams.rational(g, 0, 0, 0), TypeError),
+]
+
+
+@pytest.mark.parametrize("g", [L(2), I(-1), C])
+@pytest.mark.parametrize("use, error", _NOT_A_SCALAR)
+def test_a_generator_is_never_a_scalar(g, use, error):
+    # A Generator is an int subclass; every scalar check takes int by exact type.
+    with pytest.raises(error):
+        use(g)
