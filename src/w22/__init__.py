@@ -47,7 +47,6 @@ from .realizations import (
 )
 from .scalars import PARAM_POLYS, QQ, Poly, parse_rational
 from .verma import (
-    BasisMonomial,
     GramMatrix,
     HWParams,
     I0Report,

@@ -122,6 +122,11 @@ C = Generator("C")
 C1 = Generator("C1")
 
 
+def _format_word(word) -> str:
+    """A word of generators as its letters run together, ``1`` if empty."""
+    return "".join(map(str, word)) if word else "1"
+
+
 class LieElement(Combination):
     """A finite linear combination of generators with exact coefficients."""
 

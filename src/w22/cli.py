@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import identities, realizations, verma
-from .algebra import IndexLimitError, jacobi_report
+from .algebra import IndexLimitError, _format_word, jacobi_report
 from .scalars import QQ, DigitLimitError, parse_rational
 from .verma import DEFAULT_MAX_LEVEL, HWParams
 
@@ -71,16 +71,22 @@ def _join_negative_rationals(argv: list[str]) -> list[str]:
 
 
 def _add_param_args(sub) -> None:
-    sub.add_argument("--lam", type=_rational, default=Fraction(0), help="highest weight (exact rational)")
-    sub.add_argument("--c", type=_rational, default=Fraction(0), help="C central charge")
-    sub.add_argument("--c0", type=_rational, default=Fraction(0), help="I(0) eigenvalue on the highest weight vector")
-    sub.add_argument("--c1", type=_rational, default=Fraction(0), help="C1 central charge")
+    sub.add_argument("--lam", type=_rational, help="highest weight (exact rational)")
+    sub.add_argument("--c", type=_rational, help="C central charge")
+    sub.add_argument("--c0", type=_rational, help="I(0) eigenvalue on the highest weight vector")
+    sub.add_argument("--c1", type=_rational, help="C1 central charge")
 
 
 def _params(args) -> HWParams:
+    """The point of the options, each 0 unless given, or the generic point
+    for ``--symbolic``, which takes no point option."""
+    point = {name: getattr(args, name) for name in ("lam", "c", "c0", "c1")}
     if getattr(args, "symbolic", False):
+        given = " ".join(f"--{name}" for name, x in point.items() if x is not None)
+        if given:
+            raise UsageError(f"--symbolic takes no point options, got {given}")
         return HWParams.symbolic()
-    return HWParams.rational(args.lam, args.c, args.c0, args.c1)
+    return HWParams.rational(*(Fraction(0) if x is None else x for x in point.values()))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,7 +145,7 @@ def _check_level(level: int, bound: int) -> None:
 def _matrix_payload(level, basis, entries, ring):
     return {
         "level": level,
-        "basis": [str(b) for b in basis],
+        "basis": [_format_word(b) for b in basis],
         "entries": [[ring.format(x) for x in row] for row in entries],
     }
 
@@ -206,7 +212,7 @@ def _cmd_singular(args) -> tuple[int, str]:
         raise UsageError("--level must be >= 1 for singular vectors")
     vectors = [
         {
-            "coefficients": {str(mono): QQ.format(coef) for mono, coef in sv.vector.terms.items()},
+            "coefficients": {_format_word(word): QQ.format(coef) for word, coef in sv.vector.terms.items()},
             "i0_eigenvector": sv.i0_eigenvector,
         }
         for sv in verma.singular_vectors(args.level, _params(args), bound)

@@ -54,7 +54,7 @@ from functools import lru_cache
 from itertools import chain
 from operator import le
 
-from .algebra import C, C1, INDEX_LIMIT, Generator, L, LieElement, bracket_gen
+from .algebra import C, C1, INDEX_LIMIT, Generator, L, LieElement, _format_word, bracket_gen
 from .scalars import _ONE, Combination, _accumulate
 
 __all__ = [
@@ -96,9 +96,7 @@ class UEElement(Combination):
     def _sorted_keys(self):
         return sorted(self.terms, key=lambda word: (len(word), word))
 
-    @staticmethod
-    def _format(word) -> str:
-        return "".join(str(g) for g in word) if word else "1"
+    _format = staticmethod(_format_word)
 
 
 def ue(x) -> UEElement:

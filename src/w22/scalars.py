@@ -55,7 +55,7 @@ VARIABLES = ("lambda", "c", "c0", "c1")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 _ZERO_EXP = (0, 0, 0, 0)
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 class DigitLimitError(ValueError):
@@ -83,14 +83,14 @@ def _decimal(convert, value):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse an exact rational literal ``p`` or ``p/q``.
+    """Parse an exact rational literal ``p`` or ``p/q`` in ASCII digits.
 
     Anything else (floats, exponents, stray whitespace) is rejected; this is
     the only scalar input path, so no float can leak into a computation.  A
     numerator or denominator longer than the interpreter's digit limit
     raises :class:`DigitLimitError`.
     """
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not an exact rational literal: {text!r}")
     num, _, den = text.partition("/")
     num = _decimal(int, num)

@@ -4,15 +4,16 @@ The highest weight vector v satisfies ``L(k) v = I(k) v = 0`` for k > 0,
 ``L(0) v = lambda v``, ``I(0) v = c0 v``, and the central elements act as the
 scalars c and c1.  Level n is the weight space of L(0)-weight ``lambda - n``;
 its basis is indexed by pairs of partitions (one for the I modes, one for the
-L modes) of total size n, matching the PBW words ``I(-j1)..I(-jr)
-L(-k1)..L(-ks) v``.
+L modes) of total size n.  A basis element is its PBW normal word
+``I(-j1)..I(-jr) L(-k1)..L(-ks)``, a tuple of generators standing for that
+word applied to v; the empty word ``()`` is v itself.
 
 The generator action is computed by straightening, with one rule: g moves
 right through a basis word ``h t`` by ``g h t v = h (g t v) + [g, h] t v``.
 It stops where it meets the highest weight vector, or, for a negative mode,
 where ``g h t`` is already a PBW normal word, since the basis words are
 exactly the normal words of U(n-).  Only the meeting with v brings in a
-parameter, so the image of a basis monomial is affine in (lambda, c, c0,
+parameter, so the image of a basis word is affine in (lambda, c, c0,
 c1): it is built once as a point-free table, with int coefficients on the
 slots 1, lambda, c/12, c0 and c1/12, and evaluated at the point of each
 call.  At a rational point the slot values are scaled by the lcm D of their
@@ -30,18 +31,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, isqrt
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from . import linalg
-from .algebra import Generator, I, L, bracket_gen
+from .algebra import Generator, I, L, _format_word, bracket_gen
 from .scalars import _ONE, PARAM_POLYS, QQ, Combination, _accumulate, _binary_form, _integer_terms
 
 __all__ = [
     "DEFAULT_MAX_LEVEL",
     "LevelBoundError",
     "HWParams",
-    "BasisMonomial",
-    "EMPTY_MONOMIAL",
     "VermaVector",
     "partitions",
     "level_basis",
@@ -88,35 +87,6 @@ class HWParams:
         return cls(P.lam, P.c, P.c0, P.c1, P)
 
 
-class BasisMonomial(NamedTuple):
-    """A level basis element: I-mode partition and L-mode partition.
-
-    ``i_part = (j1 >= j2 >= ...)`` stands for the factors I(-j1) I(-j2) ...
-    and likewise ``l_part`` for the L factors; the monomial is the
-    corresponding PBW word applied to the highest weight vector.
-    """
-
-    i_part: tuple
-    l_part: tuple
-
-    def word(self):
-        return tuple(I(-j) for j in self.i_part) + tuple(L(-k) for k in self.l_part)
-
-    def split_head(self):
-        """The leftmost factor and the remaining (still valid) monomial."""
-        if self.i_part:
-            return I(-self.i_part[0]), BasisMonomial(self.i_part[1:], self.l_part)
-        return L(-self.l_part[0]), BasisMonomial((), self.l_part[1:])
-
-    def __str__(self) -> str:
-        if not self.i_part and not self.l_part:
-            return "1"
-        return "".join(str(g) for g in self.word())
-
-
-EMPTY_MONOMIAL = BasisMonomial((), ())
-
-
 def partitions(n: int, max_part: Optional[int] = None):
     """All partitions of n as nonincreasing tuples, largest part first."""
     if n == 0:
@@ -129,10 +99,9 @@ def partitions(n: int, max_part: Optional[int] = None):
 
 
 def level_basis(n: int, max_level: int = DEFAULT_MAX_LEVEL):
-    """The canonical ordered basis of level n.
-
-    The order is descending lexicographic on (i_part, l_part); for n = 2 it
-    reads I(-2), I(-1)I(-1), I(-1)L(-1), L(-2), L(-1)L(-1).
+    """The canonical ordered basis of level n: its normal words in
+    ascending order, as tuples of generators.  For n = 2 it reads I(-2),
+    I(-1)I(-1), I(-1)L(-1), L(-2), L(-1)L(-1).
     """
     _check_level(n, max_level)
     return list(_sorted_basis(n))
@@ -140,12 +109,12 @@ def level_basis(n: int, max_level: int = DEFAULT_MAX_LEVEL):
 
 @lru_cache(maxsize=None)
 def _sorted_basis(n: int) -> tuple:
-    """The level-n basis, every two-coloured partition (i_part, l_part) of
-    n, in canonical order, sorted once per level."""
-    pairs = (
-        BasisMonomial(ip, lp) for s in range(n + 1) for ip in partitions(s) for lp in partitions(n - s)
-    )
-    return tuple(sorted(pairs, reverse=True))
+    """The level-n basis, the word ``I(-mu) L(-nu)`` of every two-coloured
+    partition (mu, nu) of n, sorted once per level.  Letters compare as
+    their canonical keys, I before L and ``I(-j)`` before ``I(-j + 1)``, so
+    this is the descending order of the pairs (mu, nu)."""
+    pairs = ((mu, nu) for s in range(n + 1) for mu in partitions(s) for nu in partitions(n - s))
+    return tuple(sorted(tuple(I(-j) for j in mu) + tuple(L(-k) for k in nu) for mu, nu in pairs))
 
 
 def _check_level(n: int, max_level: int) -> None:
@@ -156,7 +125,7 @@ def _check_level(n: int, max_level: int) -> None:
 class VermaVector(Combination):
     """A homogeneous element of one level, as coordinates over the basis.
 
-    The monomials fix the level, so equality and hash read only ``terms``;
+    The words fix the level, so equality and hash read only ``terms``;
     ``level`` places a zero vector."""
 
     __slots__ = ("level",)
@@ -173,12 +142,9 @@ class VermaVector(Combination):
             raise ValueError("cannot add vectors of different levels")
         return Combination._add(self, other, factor)
 
-    def _sorted_keys(self):
-        return sorted(self.terms, reverse=True)
-
     @staticmethod
-    def _format(mono) -> str:
-        return f"[{mono}]v"
+    def _format(word) -> str:
+        return f"[{_format_word(word)}]v"
 
 
 #: The slots of a point-free table term: the constant 1, or the parameter
@@ -190,34 +156,32 @@ _TWELFTH = Fraction(1, 12)
 
 
 @lru_cache(maxsize=None)
-def _act_on_monomial(g: Generator, mono: BasisMonomial):
-    """Point-free image of one basis monomial under g, as ((monomial, slot),
-    coef) pairs with int coefs: at a point the monomial's coordinate is the
-    sum of coef times the slot's value (see :data:`SLOTS`).
+def _act_on_monomial(g: Generator, mono: tuple):
+    """Point-free image of one basis word under g, as ((word, slot), coef)
+    pairs with int coefs: at a point the word's coordinate is the sum of
+    coef times the slot's value (see :data:`SLOTS`).
 
     One rule, ``g h t v = h (g t v) + [g, h] t v`` for ``mono = h t``, moves
     g right through the word, with two stopping points.  A central g is its
     scalar, 12 times the slot c/12 or c1/12.  Any other g stops when it
     meets v (0 for a positive mode, lambda or c0 for L(0) or I(0)), or when
     it is a negative mode with ``g <= h``, so that ``g h t`` is already a
-    normal word: then g goes to the front of its block.  Only the meeting
-    with v brings in a parameter.  The head h is a negative mode, whose
-    images carry no parameter, so ``h (g t v)`` keeps the slot of each term
-    of ``g t v``: every image is affine in the parameters.  The brackets
+    normal word: then g is prepended.  Only the meeting with v brings in a
+    parameter.  The head h is a negative mode, whose images carry no
+    parameter, so ``h (g t v)`` keeps the slot of each term of ``g t v``:
+    every image is affine in the parameters.  The brackets
     have int coefficients ``m - n``, apart from the central ``(k^3 - k)/12``,
     which meets the 12 of a central table."""
     kind, k = g.kind, g.index
     if kind in _CENTRAL_SLOTS:
         return (((mono, _CENTRAL_SLOTS[kind]), 12),)
-    head, tail = mono.split_head() if mono != EMPTY_MONOMIAL else (None, None)
-    if head is None or k < 0 and g <= head:
+    if not mono or k < 0 and g <= mono[0]:
         if k > 0:
             return ()
         if k == 0:
             return (((mono, "lam" if kind == "L" else "c0"), 1),)
-        if kind == "I":
-            return (((BasisMonomial((-k,) + mono.i_part, mono.l_part), 1), 1),)
-        return (((BasisMonomial(mono.i_part, (-k,) + mono.l_part), 1), 1),)
+        return ((((g,) + mono, 1), 1),)
+    head, tail = mono[0], mono[1:]
     out = {}
     for (m2, slot), s2 in _act_on_monomial(g, tail):
         _accumulate(out, (((m3, slot), c3) for (m3, _), c3 in _act_on_monomial(head, m2)), s2)
@@ -242,7 +206,7 @@ def _scaled_slots(p: HWParams):
 
 def _evaluate(table, values):
     """A point-free table at the scaled slot ``values`` of
-    :func:`_scaled_slots`, as (monomial, coeff) pairs without zeros."""
+    :func:`_scaled_slots`, as (word, coeff) pairs without zeros."""
     out = {}
     _accumulate(out, ((m, coef * values[slot]) for (m, slot), coef in table), _ONE)
     return tuple(out.items())
@@ -282,25 +246,25 @@ def gram_matrix(n: int, p: HWParams, max_level: int = DEFAULT_MAX_LEVEL) -> Gram
     """Matrix of the contravariant form on level n in the canonical basis.
 
     The form is built level by level from ``<v, v> = 1``.  Split a basis
-    element as ``b = h t`` (:meth:`BasisMonomial.split_head`), h a negative
-    mode of level k; the anti-involution omega sends h to the positive mode
-    of the same kind, so ``<b v, w> = <t v, omega(h) w>``.  Row b is row t
+    word as ``b = h t``, its first letter h a negative mode of level k and
+    t the rest, again a basis word; the anti-involution omega sends h to
+    the positive mode of the same kind, so ``<b v, w> = <t v, omega(h) w>``.  Row b is row t
     of the level n - k form dotted with the image of each column under
     omega(h), and each (positive mode, column) image is evaluated once per
     level.  The images are D times the true ones (:func:`_scaled_slots`),
-    so row b is kept scaled by ``D^len(b)``, len(b) the number of factors
+    so row b is kept scaled by ``D^len(b)``, len(b) the number of letters
     of b: in ints at a rational point, with one division per nonzero entry
     at the end.  The lower levels live only for this call."""
     basis = level_basis(n, max_level)
     d, values = _scaled_slots(p)
     # The nonzero entries of the row of each basis element of levels <= n,
     # row b scaled by d ** len(b).  <v, v> is a Fraction at a Poly point.
-    rows = {EMPTY_MONOMIAL: {EMPTY_MONOMIAL: 1 if p.ring.is_field else Fraction(1)}}
+    rows = {(): {(): 1 if p.ring.is_field else Fraction(1)}}
     for level in range(1, n + 1):
         columns = _sorted_basis(level)
-        images = {}  # omega -> {lower monomial m: [(column w, entry m of omega w)]}
+        images = {}  # omega -> {lower word m: [(column w, entry m of omega w)]}
         for b in columns:
-            head, tail = b.split_head()
+            head, tail = b[0], b[1:]
             omega = Generator(head.kind, -head.index)
             if omega not in images:
                 by_lower = images[omega] = {}
@@ -313,7 +277,7 @@ def gram_matrix(n: int, p: HWParams, max_level: int = DEFAULT_MAX_LEVEL) -> Gram
     zero = p.ring.zero
     entries = []
     for b in basis:
-        row, scale = rows[b], d ** (len(b.i_part) + len(b.l_part))
+        row, scale = rows[b], d ** len(b)
         entries.append([_unscale(p, row[w], scale) if w in row else zero for w in basis])
     return GramMatrix(level=n, basis=basis, entries=entries)
 
@@ -364,9 +328,9 @@ def shapovalov_det(n: int, p: HWParams, max_level: int = DEFAULT_MAX_LEVEL):
 
     Hence a nonzero ``<(mu, nu), (alpha, beta)>`` has ``len(mu) <
     len(beta)``, or ``len(mu) = len(beta)`` and ``(mu, nu) <= (beta,
-    alpha)`` in canonical order, with equality only on the swapped
-    diagonal.  With the basis sorted by I count and then in ascending
-    canonical order, ``<b_i, swap(b_j)>`` is upper triangular with diagonal
+    alpha)`` lexicographically, with equality only on the swapped
+    diagonal.  With the basis sorted by I count and then in descending
+    word order, ``<b_i, swap(b_j)>`` is upper triangular with diagonal
     ``prod_k f(k)^{m_k(mu)} m_k(mu)! * prod_k f(k)^{m_k(nu)} m_k(nu)!``.
     Sorting rows and columns alike leaves the sign of the colour swap, an
     involution with one transposition per pair ``mu != nu``, so
@@ -475,8 +439,8 @@ def singular_vectors(
     nonzero, that is where no ``f(k)`` with k <= n vanishes (see
     :func:`first_degenerate_level`), the result is ``[]``, found without
     any elimination.  Elsewhere it is the :func:`linalg.nullspace` of the
-    images of the basis monomials, one sparse column each, keyed by
-    (generator, target monomial).  The columns are the images times one
+    images of the basis words, one sparse column each, keyed by
+    (generator, target word).  The columns are the images times one
     common D (:func:`_scaled_slots`), which leaves the kernel unchanged, so
     they are int columns and the elimination is fraction-free.  The kernel
     vectors are primitive integer vectors, and w is an I(0) eigenvector
@@ -490,8 +454,13 @@ def singular_vectors(
     basis = level_basis(n, max_level)
     gens = (L(1), L(2), I(1), I(2))
     _, values = _scaled_slots(p)
+    # The elimination pivots at the least key.  A target word is keyed by
+    # minus its place in the canonical order, so that the largest word
+    # pivots first: keyed by the word itself, the pivots differ and the
+    # search at level 8 takes about twice as long.
+    place = {m: -i for level in range(max(n - 2, 0), n) for i, m in enumerate(_sorted_basis(level))}
     columns = [
-        {(g, m): x for g in gens for m, x in _evaluate(_act_on_monomial(g, b), values)}
+        {(g, place[m]): x for g in gens for m, x in _evaluate(_act_on_monomial(g, b), values)}
         for b in basis
     ]
     rows = _i0_nilpotent(n)

@@ -7,7 +7,9 @@ so two checkouts timed in separate runs are timed at different speeds.  This
 helper loads ``src/w22`` of each checkout into one process, under the
 package names ``w22_a`` and ``w22_b``, and times the same call in both in
 alternating pairs (A then B, then B then A), each timed call preceded by an
-optional untimed setup such as a cache clear.  It prints each side's median
+optional untimed setup such as a cache clear, and by an untimed garbage
+collection, so that the cyclic collector does not run inside one side's
+timed call more often than the other's.  It prints each side's median
 and quartiles, the median of the per-pair ratios B/A, and the number of
 pairs in which B was faster.
 
@@ -45,6 +47,7 @@ The pytest suite does not collect this file (its name does not match
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import importlib.util
 import statistics
@@ -125,6 +128,7 @@ def time_pairs(call_a, call_b, pairs, setup_a=None, setup_b=None):
         for call, setup, times in sides if i % 2 == 0 else sides[::-1]:
             if setup is not None:
                 setup()
+            gc.collect()
             start = time.perf_counter()
             call()
             times.append(time.perf_counter() - start)

@@ -2,7 +2,7 @@
 one parameter point, with the parameters' values in every coefficient.
 
 ``naive_act_on_monomial(g, mono, p)`` gives the coordinates of g acting on
-one basis monomial as (monomial, coeff) pairs.  It shares no table with
+one basis word as (word, coeff) pairs.  It shares no table with
 ``w22.verma``, which builds every image once without a point and evaluates
 it per point; the evaluated images must equal these.  A negative mode acts
 here by ``w22.pbw.normal_order``, a path ``w22.verma`` does not take, and
@@ -17,7 +17,8 @@ row word letter by letter to every column unit, with none of the level
 recursion of ``gram_matrix``.
 
 ``act_element`` and ``apply_word`` extend ``act`` to algebra elements and
-to products of generators, and ``level_of`` reads the level of a monomial.
+to products of generators, ``level_of`` reads the level of a basis word,
+and ``parts`` its two partitions.
 """
 
 from fractions import Fraction
@@ -26,7 +27,7 @@ from functools import lru_cache
 from w22.algebra import Generator, I, bracket_gen
 from w22.pbw import normal_order
 from w22.scalars import _accumulate
-from w22.verma import DEFAULT_MAX_LEVEL, EMPTY_MONOMIAL, BasisMonomial, VermaVector, act, level_basis
+from w22.verma import DEFAULT_MAX_LEVEL, VermaVector, act, level_basis
 
 
 def act_element(x, w, p):
@@ -51,14 +52,14 @@ def apply_word(word, w, p):
     return w
 
 
-def level_of(mono):
-    """The level of a basis monomial: the sum of its parts."""
-    return sum(mono.i_part) + sum(mono.l_part)
+def level_of(word):
+    """The level of a basis word: minus the sum of its modes."""
+    return -sum(x.index for x in word)
 
 
-def _monomial(word):
-    """The basis monomial of a normal word in negative modes."""
-    return BasisMonomial(*(tuple(-x.index for x in word if x.kind == kind) for kind in ("I", "L")))
+def parts(word):
+    """The partitions (mu, nu) of a basis word ``I(-mu) L(-nu)``."""
+    return tuple(tuple(-x.index for x in word if x.kind == kind) for kind in ("I", "L"))
 
 
 @lru_cache(maxsize=None)
@@ -72,14 +73,14 @@ def naive_act_on_monomial(g, mono, p):
     if kind == "C1":
         return ((mono, p.c1),)
     if k < 0:
-        return tuple((_monomial(w), c) for w, c in normal_order((g,) + mono.word()).terms.items())
+        return tuple(normal_order((g,) + mono).terms.items())
     if kind == "L" and k == 0:
         return ((mono, p.lam - level_of(mono)),)
-    if kind == "I" and not mono.l_part:
+    if kind == "I" and not parts(mono)[1]:
         return ((mono, p.c0),) if k == 0 else ()
-    if mono == EMPTY_MONOMIAL:
+    if not mono:
         return ()
-    head, tail = mono.split_head()
+    head, tail = mono[0], mono[1:]
     out = {}
     for m2, s2 in naive_act_on_monomial(g, tail, p):
         _accumulate(out, naive_act_on_monomial(head, m2, p), s2)
@@ -118,7 +119,7 @@ def _pairing(row_word, col_vec, p):
     vec = col_vec
     for g in row_word:
         vec = act(g, vec, p)
-    value = vec.terms.get(EMPTY_MONOMIAL, None)
+    value = vec.terms.get((), None)
     return value if value is not None else p.ring.zero
 
 
@@ -127,5 +128,5 @@ def pairing_gram(n, p, max_level=DEFAULT_MAX_LEVEL):
     modes negated (omega), paired with every ``Fraction(1)`` column unit."""
     basis = level_basis(n, max_level)
     units = [VermaVector(n, {b: Fraction(1)}) for b in basis]
-    rows = [tuple(Generator(g.kind, -g.index) for g in b.word()) for b in basis]
+    rows = [tuple(Generator(g.kind, -g.index) for g in b) for b in basis]
     return [[_pairing(row, uj, p) for uj in units] for row in rows]

@@ -35,7 +35,6 @@ from w22.realizations import (
 )
 from w22.scalars import PARAM_POLYS, QQ
 from w22.verma import (
-    BasisMonomial,
     HWParams,
     VermaVector,
     gram_matrix,
@@ -119,7 +118,7 @@ def test_criterion_4_symbolic_level_one_form():
         [-2 * C0, -2 * LAM],
     ]
     gram_ok = (
-        gram.basis == [BasisMonomial((1,), ()), BasisMonomial((), (1,))]
+        gram.basis == [(I(-1),), (L(-1),)]
         and all(
             gram.entries[i][j] == expected[i][j] for i in range(2) for j in range(2)
         )
@@ -140,7 +139,7 @@ def test_criterion_5_theorem_cross_validation():
     # (c0=0, c1=5): reducible, witness 1, det1 = 0, I(-1)v singular at level 1.
     red, witness = is_reducible(Fraction(0), Fraction(5))
     p = HWParams.rational(2, 1, 0, 5)
-    i_minus_1 = str(VermaVector(1, {BasisMonomial((1,), ()): Fraction(1)}))
+    i_minus_1 = str(VermaVector(1, {(I(-1),): Fraction(1)}))
     checks.append(
         (
             "c0=0,c1=5 reducible m=1, det1=0, I(-1)v singular",
@@ -170,8 +169,8 @@ def test_criterion_5_theorem_cross_validation():
         VermaVector(
             2,
             {
-                BasisMonomial((2,), ()): Fraction(4),
-                BasisMonomial((1, 1), ()): Fraction(-3),
+                (I(-2),): Fraction(4),
+                (I(-1), I(-1)): Fraction(-3),
             },
         )
     )

@@ -22,7 +22,7 @@ from w22.algebra import (
 )
 from w22.pbw import multiply, ue
 from w22.scalars import PARAM_POLYS
-from w22.verma import EMPTY_MONOMIAL, VermaVector
+from w22.verma import VermaVector
 
 from involutions import sigma
 
@@ -192,7 +192,7 @@ class TestJacobi:
 class TestScalarMultiplication:
     """Only exact scalars (int, Fraction, Poly) multiply a combination."""
 
-    ELEMENTS = [LieElement({L(1): 1}), ue(L(1)), VermaVector(0, {EMPTY_MONOMIAL: Fraction(1)})]
+    ELEMENTS = [LieElement({L(1): 1}), ue(L(1)), VermaVector(0, {(): Fraction(1)})]
 
     # A Generator is an int subclass, and never a scalar.
     @pytest.mark.parametrize("scalar", [2.5, 0.5, 1j, None, "2", L(2), I(-1), C])

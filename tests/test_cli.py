@@ -314,6 +314,13 @@ class TestExitCodes:
         assert code == 2
         assert "level" in err
 
+    @pytest.mark.parametrize("command", ["det", "gram"])
+    def test_symbolic_refuses_a_point_option(self, capsys, command):
+        # A point given with --symbolic would otherwise be dropped unread.
+        code, out, err = run(capsys, command, "--level", "4", "--symbolic", "--c0", "5", "--c1", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: --symbolic takes no point options, got --c0 --c1\n"
+
     def test_usage_error_on_unknown_command(self, capsys):
         assert cli.main(["frobnicate"]) == 2
         capsys.readouterr()

@@ -201,6 +201,20 @@ def test_point_free_table_matches_per_point_recursion(p, g, mono):
 
 
 @derandomized_short
+@given(st.integers(0, 6), points, rationals.filter(bool))
+def test_gram_matrix_scales_with_the_i_letters(n, p, t):
+    """For t != 0, I(n) -> t I(n), C1 -> t C1 is an automorphism of W(2,2)
+    that carries M(lambda, c, c0, c1) onto M(lambda, c, t c0, t c1), and
+    the word b of the second module onto t^(I count of b) b of the first."""
+    gram = gram_matrix(n, p)
+    twisted = gram_matrix(n, HWParams.rational(p.lam, p.c, t * p.c0, t * p.c1))
+    count = [sum(g.kind == "I" for g in b) for b in gram.basis]
+    assert twisted.entries == [
+        [t ** (count[i] + count[j]) * x for j, x in enumerate(row)] for i, row in enumerate(gram.entries)
+    ]
+
+
+@derandomized_short
 @given(st.integers(0, 4), points)
 def test_i0_degree_matches_dense_powers(n, p):
     report = i0_matrix(n, p)

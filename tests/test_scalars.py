@@ -14,7 +14,12 @@ def test_parse_rational_accepts_exact_literals():
     assert parse_rational("4/6") == Fraction(2, 3)
 
 
-@pytest.mark.parametrize("bad", ["1.5", "1e3", "", " 1", "1 ", "0x1", "1/0", "--2", "1/-2", "nan"])
+@pytest.mark.parametrize(
+    "bad",
+    # The last four: a trailing newline and digits outside ASCII (Arabic-Indic
+    # and fullwidth), which a regex ``\d`` and ``$`` would let through.
+    ["1.5", "1e3", "", " 1", "1 ", "0x1", "1/0", "--2", "1/-2", "nan", "3\n", "\u0663", "\uff13", "1/\u0662"],
+)
 def test_parse_rational_rejects_everything_else(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)

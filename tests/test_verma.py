@@ -10,12 +10,11 @@ from math import factorial, prod
 import pytest
 
 from w22 import verma
-from w22.algebra import C, C1, I, L, bracket, generator_window
+from w22.algebra import C, C1, I, L, _format_word, bracket, generator_window
 from w22.pbw import normal_order
 from w22.scalars import PARAM_POLYS, Poly
 from w22.verma import (
     DEFAULT_MAX_LEVEL,
-    BasisMonomial,
     HWParams,
     LevelBoundError,
     VermaVector,
@@ -36,6 +35,7 @@ from naive_action import (
     level_of,
     naive_image,
     pairing_gram,
+    parts,
     per_point_i0,
     per_point_i0_degree,
 )
@@ -52,7 +52,8 @@ def substitute(poly, point):
 
 
 def mono(i_part=(), l_part=()):
-    return BasisMonomial(tuple(i_part), tuple(l_part))
+    """The basis word ``I(-i_part) L(-l_part)``."""
+    return tuple(I(-j) for j in i_part) + tuple(L(-k) for k in l_part)
 
 
 def vec(level, *items):
@@ -158,7 +159,7 @@ class TestLevelBasis:
     def test_counts_against_enumeration_oracle(self):
         for n in range(9):
             basis = level_basis(n, max_level=8)
-            assert {(b.i_part, b.l_part) for b in basis} == _enumerate_pairs(n)
+            assert {parts(b) for b in basis} == _enumerate_pairs(n)
             assert all(level_of(b) == n for b in basis)
 
     def test_level_bound(self):
@@ -181,9 +182,16 @@ class TestLevelBasis:
         assert level_basis(3) == expected
         assert level_basis(3) is not level_basis(3)
 
+    @pytest.mark.parametrize("n", range(13))
+    def test_order_is_the_descending_order_of_the_pairs(self, n):
+        # An oracle that compares no letters: the pairs (mu, nu) of
+        # partitions, sorted as tuples of parts, then spelled as words.
+        pairs = sorted(_enumerate_pairs(n), reverse=True)
+        assert verma._sorted_basis(n) == tuple(mono(mu, nu) for mu, nu in pairs)
+
     def test_monomial_strings(self):
-        assert str(mono()) == "1"
-        assert str(mono((2, 1), (3,))) == "I(-2)I(-1)L(-3)"
+        assert _format_word(mono()) == "1"
+        assert _format_word(mono((2, 1), (3,))) == "I(-2)I(-1)L(-3)"
 
 
 class TestVermaVector:
@@ -322,7 +330,8 @@ class TestPointFreeTable:
             for b in level_basis(n):
                 for g in generator_window(3):
                     for (m, slot), coef in verma._act_on_monomial(g, b):
-                        assert isinstance(m, BasisMonomial) and level_of(m) == n - g.weight
+                        assert type(m) is tuple and level_of(m) == n - g.weight
+                        assert m in level_basis(n - g.weight)
                         assert slot in verma.SLOTS
                         assert type(coef) is int and coef
 
@@ -334,7 +343,7 @@ class TestPointFreeTable:
             for g in [X(-k) for X in (L, I) for k in (1, 2, 3)]:
                 table = verma._act_on_monomial(g, b)
                 assert all(slot == 1 and type(c) is int for (_, slot), c in table), (g, b)
-                assert {m.word(): c for (m, _), c in table} == normal_order((g,) + b.word()).terms
+                assert {m: c for (m, _), c in table} == normal_order((g,) + b).terms
 
     def test_i0_c0_slot_is_the_identity(self):
         # So I(0) - c0 is the slot-1 part of I(0)'s table at every point.
@@ -427,7 +436,7 @@ def _f(k, p):
 def _diagonal_entry(b, p):
     """prod_k f(k)^{m_k} m_k! over the parts of each colour of b."""
     out = Fraction(1)
-    for part in (b.i_part, b.l_part):
+    for part in parts(b):
         for k in set(part):
             m = part.count(k)
             out = out * _f(k, p) ** m * factorial(m)
@@ -454,7 +463,7 @@ class TestGramBlocks:
     def assert_zero_pattern(gram):
         for row, entries in zip(gram.basis, gram.entries):
             for col, x in zip(gram.basis, entries):
-                if len(row.i_part) > len(col.l_part):
+                if len(parts(row)[0]) > len(parts(col)[1]):
                     assert x == 0, (row, col)
 
     @pytest.mark.parametrize("n", range(6))
@@ -468,14 +477,15 @@ class TestGramBlocks:
 
     @staticmethod
     def assert_triangular(gram, p):
-        """Rows sorted by I count, then in ascending canonical order; column j
-        is the colour swap of row j.  Every nonzero entry off the diagonal
-        lies above it, and the diagonal is the closed product."""
+        """Rows sorted by I count, then in ascending order of the pairs
+        (mu, nu), the descending word order; column j is the colour swap of
+        row j.  Every nonzero entry off the diagonal lies above it, and the
+        diagonal is the closed product."""
         index = {b: i for i, b in enumerate(gram.basis)}
-        order = sorted(gram.basis, key=lambda b: (len(b.i_part), b))
+        order = sorted(gram.basis, key=lambda b: (len(parts(b)[0]), parts(b)))
         for i, row in enumerate(order):
             for j, partner in enumerate(order):
-                swapped = BasisMonomial(partner.l_part, partner.i_part)
+                swapped = mono(*reversed(parts(partner)))
                 x = gram.entries[index[row]][index[swapped]]
                 if i == j:
                     assert x == _diagonal_entry(row, p), row
@@ -598,6 +608,13 @@ class TestSingularVectors:
         assert len(found) == 1
         assert found[0].vector == vec(2, (mono((2,)), 4), (mono((1, 1)), -3))
         assert found[0].i0_eigenvector
+
+    def test_level_two_vector_scales_with_the_i_letters(self):
+        # I(n) -> 3 I(n), C1 -> 3 C1 is an automorphism that carries
+        # M(2, 1, 1, 8) onto M(2, 1, 3, 24), so the singular vector there is
+        # the one above with each I letter divided by 3, made primitive.
+        found = singular_vectors(2, HWParams.rational(2, 1, 3, 24))
+        assert [sv.vector for sv in found] == [vec(2, (mono((2,)), 4), (mono((1, 1)), -1))]
 
     def test_degenerate_point_level_three(self):
         p = HWParams.rational(2, 1, 1, 3)
