@@ -3,8 +3,9 @@
 The package provides the defining bracket with its two central extensions,
 PBW normal ordering in the enveloping algebra, Verma modules with their
 contravariant forms, Gram determinants and singular-vector search, the
-irreducibility criterion, the non-semisimple I(0) analysis, and the Witt /
-intermediate-series realizations.  All arithmetic is exact: rationals with
+irreducibility criterion, the non-semisimple I(0) analysis, and the
+module-axiom check of the intermediate-series realizations (the Witt module
+among them) against the bracket.  All arithmetic is exact: rationals with
 unbounded integers, or polynomials in the module parameters.
 """
 
@@ -36,15 +37,7 @@ from .pbw import (
     normal_order,
     ue,
 )
-from .realizations import (
-    IntermediateSeriesParams,
-    WindowReport,
-    intermediate_series_action,
-    intermediate_series_report,
-    semidirect_check,
-    witt_action,
-    witt_module_report,
-)
+from .realizations import IntermediateSeriesParams, module_report, semidirect_check
 from .scalars import PARAM_POLYS, QQ, Poly, parse_rational
 from .verma import (
     GramMatrix,

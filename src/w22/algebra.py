@@ -73,14 +73,30 @@ class Generator(int):
     order is the canonical order ``C < C1 < I(n) asc < L(n) asc``, so
     hashing, equality and ``<`` run on the built-in ``int``.
 
-    A generator equals its ``int`` value and ``L(1) + 1`` is ``int``
-    arithmetic, but a generator is never a scalar: every scalar check of
-    :mod:`w22.scalars` takes ``int`` by exact type, so a combination times
-    a generator, or a generator coerced to a scalar, raises ``TypeError``,
-    and a ``Poly`` to a generator's power raises ``ValueError``.
+    A generator equals its ``int`` value, but it is a letter and never a
+    number: its arithmetic operators, reflected ones included, raise
+    ``TypeError`` (so ``2 * L(1)``, ``L(1) + 1``, ``Fraction(1, 2) * L(1)``
+    and ``Fraction(L(1))`` do), and so do ``numerator`` and
+    ``denominator``, which ``Fraction`` reads.  Only ``>>`` and ``&``, which
+    ``kind`` and ``index`` read, keep their ``int`` results, reflections
+    included: a class that defines either method of such a pair routes both
+    through a Python-level lookup, twice as slow here.  Every scalar
+    check of :mod:`w22.scalars` takes ``int`` by exact type, so a
+    combination times a generator raises ``TypeError`` too, and a ``Poly``
+    to a generator's power raises ``ValueError``.
     """
 
     __slots__ = ()
+
+    def _not_a_number(self, *_):
+        raise TypeError(f"the generator {self} is a letter, not a number")
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _not_a_number
+    __truediv__ = __rtruediv__ = __floordiv__ = __rfloordiv__ = _not_a_number
+    __mod__ = __rmod__ = __divmod__ = __rdivmod__ = __pow__ = __rpow__ = _not_a_number
+    __neg__ = __pos__ = __abs__ = __invert__ = _not_a_number
+    __lshift__ = __rlshift__ = __or__ = __ror__ = __xor__ = __rxor__ = _not_a_number
+    numerator = denominator = property(_not_a_number)
 
     def __new__(cls, kind: str, index: int = 0):
         rank = _RANK.get(kind)

@@ -1,5 +1,5 @@
-"""Witt-module and intermediate-series realizations, and the semidirect
-product consistency check.
+"""Intermediate-series realizations, of which the Witt module is one, and
+the semidirect product consistency check.
 
 The algebra arises as the universal central extension of W ⋉ V, where W is
 the Witt algebra spanned by the L modes and V the abelian ideal spanned by
@@ -9,8 +9,11 @@ central elements in the defining bracket must reproduce exactly this action;
 
 Intermediate-series modules have one-dimensional weight spaces v_k with
 ``L(m) v_k = (a + k + b m) v_{k+m}`` and the I modes and central elements
-acting by zero; the pair (a, b) = (0, -1) reproduces the Witt-module action
-table, which pins the parameterization.
+acting by zero.  The Witt module V is the instance (a, b) = (0, -1), with
+v_n = I(n).  :func:`module_report` checks the module axiom
+``x (y v_k) - y (x v_k) = [x, y] v_k`` with ``[x, y]`` read from
+:func:`~w22.algebra.bracket_gen`, so a wrong L-L coefficient of the
+bracket fails it.
 """
 
 from __future__ import annotations
@@ -18,38 +21,36 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import I, L, bracket_gen
+from .algebra import Generator, I, L, bracket_gen, generator_window
+from .scalars import _integer_terms
 
 __all__ = [
-    "witt_action",
     "IntermediateSeriesParams",
-    "intermediate_series_action",
-    "WindowReport",
-    "witt_module_report",
-    "intermediate_series_report",
+    "module_report",
     "semidirect_check",
 ]
 
 
-def witt_action(m: int, n: int) -> tuple[int, int]:
-    """Coefficient and target index of ``L(m)`` acting on ``I(n)``:
-    returns ``(n - m, m + n)``."""
-    return (n - m, m + n)
-
-
 @dataclass(frozen=True)
 class IntermediateSeriesParams:
-    a: Fraction
-    b: Fraction
+    """The module ``L(m) v_k = (a + k + b m) v_{k+m}``, held as the ints
+    ``da = d a`` and ``db = d b`` over the least common denominator d of a
+    and b."""
+
+    da: int
+    db: int
+    d: int
 
     @classmethod
     def of(cls, a, b) -> "IntermediateSeriesParams":
-        return cls(Fraction(a), Fraction(b))
+        d, ((_, da), (_, db)) = _integer_terms({"a": Fraction(a), "b": Fraction(b)})
+        return cls(da, db, d)
 
-
-def intermediate_series_action(p: IntermediateSeriesParams, m: int, k: int) -> Fraction:
-    """Coefficient of ``v_{k+m}`` in ``L(m) v_k``, namely ``a + k + b m``."""
-    return p.a + k + p.b * m
+    def act(self, g: Generator, k: int) -> int:
+        """d times the coefficient of ``v_{k + g.weight}`` in ``g v_k``:
+        ``d (a + k + b m)`` for ``g = L(m)``, and 0 for every other
+        generator."""
+        return self.da + self.d * k + self.db * g.index if g.kind == "L" else 0
 
 
 @dataclass
@@ -62,55 +63,35 @@ class WindowReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def record(self, label: str, residual) -> None:
+    def record(self, residual, label: str, *args) -> None:
+        """Count one check, failed where ``residual`` is nonzero; the label
+        is ``label.format(*args)``, formatted for a failure only."""
         self.checks += 1
         if residual:
-            self.failures.append((label, str(residual)))
+            self.failures.append((label.format(*args), str(residual)))
 
 
-def witt_module_report(window: int = 8) -> WindowReport:
-    """Module axiom for the Witt action:
-    ``L(a).(L(b).I(n)) - L(b).(L(a).I(n)) = (b - a) L(a+b).I(n)``
-    for all indices in the window."""
+def module_report(p: IntermediateSeriesParams, window: int) -> WindowReport:
+    """The module axiom ``x (y v_k) - y (x v_k) = [x, y] v_k`` for x, y in
+    ``generator_window(window)`` and |k| <= window, one check each, with
+    ``[x, y]`` from :func:`~w22.algebra.bracket_gen`.
+
+    The left side lies at ``v_{k + x.weight + y.weight}`` and a term g of
+    ``[x, y]`` acts into ``v_{k + g.weight}``, so the residual is taken
+    weight by weight, and a bracket term of the wrong weight fails too.
+    Both sides are taken ``d^2`` times, in ints, with the d of p."""
     report = WindowReport(window=window)
-    rng = range(-window, window + 1)
-    for a in rng:
-        for b in rng:
-            for n in rng:
-                cb, ib = witt_action(b, n)
-                cab, iab = witt_action(a, ib)
-                ca, ia = witt_action(a, n)
-                cba, iba = witt_action(b, ia)
-                # Both sides live at I(a + b + n).
-                lhs = cb * cab - ca * cba
-                crhs, _ = witt_action(a + b, n)
-                residual = lhs - (b - a) * crhs
-                report.record(f"a={a} b={b} n={n}", residual)
-    return report
-
-
-def intermediate_series_report(
-    p: IntermediateSeriesParams, window: int = 8
-) -> WindowReport:
-    """Module axiom ``[L(n), L(m)] v_k = (m - n) L(n+m) v_k`` for the
-    intermediate-series action, for all indices in the window.
-
-    The I modes and the central elements act by zero, so the L-L relation
-    is the only one with content: every other bracket relation holds with
-    both sides zero.  One check is recorded per (n, m, k)."""
-    report = WindowReport(window=window)
-    rng = range(-window, window + 1)
-    for m in rng:
-        for n in rng:
-            for k in rng:
-                # [L(n), L(m)] v_k: central C term acts by zero.
-                lhs = intermediate_series_action(p, m, k) * intermediate_series_action(
-                    p, n, k + m
-                ) - intermediate_series_action(p, n, k) * intermediate_series_action(
-                    p, m, k + n
-                )
-                rhs = (m - n) * intermediate_series_action(p, n + m, k)
-                report.record(f"L({n})L({m}) k={k}", lhs - rhs)
+    gens = generator_window(window)
+    for x in gens:
+        for y in gens:
+            wx, wy = x.weight, y.weight
+            terms = [(g.weight, p.d * c, g) for g, c in bracket_gen(x, y).terms.items()]
+            for k in range(-window, window + 1):
+                out = {wx + wy: p.act(x, k + wy) * p.act(y, k) - p.act(y, k + wx) * p.act(x, k)}
+                for w, c, g in terms:
+                    out[w] = out.get(w, 0) - c * p.act(g, k)
+                residual = " ".join(f"{Fraction(r, p.d**2)} v_{k + w}" for w, r in out.items() if r)
+                report.record(residual, "[{}, {}] v_{}", x, y, k)
     return report
 
 
@@ -123,17 +104,12 @@ def semidirect_check(window: int = 8) -> WindowReport:
     rng = range(-window, window + 1)
     for m in rng:
         for n in rng:
-            br = bracket_gen(L(m), I(n))
-            coeff = Fraction(0)
-            residual_terms = {}
-            for gen, coef in br.terms.items():
-                if gen.kind in ("C", "C1"):
-                    continue  # the quotient by the centre deletes these
-                if gen.kind == "I" and gen.index == m + n:
+            coeff, stray = Fraction(0), False
+            for gen, coef in bracket_gen(L(m), I(n)).terms.items():
+                if gen == I(m + n):
                     coeff = coef
-                else:
-                    residual_terms[gen] = coef
-            expected, _ = witt_action(m, n)
-            ok = not residual_terms and coeff == expected
-            report.record(f"m={m} n={n}", 0 if ok else f"{coeff} != {expected}")
+                elif gen.kind not in ("C", "C1"):  # the quotient by the centre deletes these
+                    stray = True
+            ok = not stray and coeff == n - m
+            report.record(0 if ok else f"{coeff} != {n - m}", "m={} n={}", m, n)
     return report

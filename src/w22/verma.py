@@ -348,6 +348,18 @@ def shapovalov_det(n: int, p: HWParams, max_level: int = DEFAULT_MAX_LEVEL):
     ``C G_j`` differ from the numerators of the reduced coefficients by
     powers of 2 and 3 only; expanding ``-24 c0 + (k^2 - 1) c1`` instead
     would carry a spare ``24^(D-j)`` in every coefficient.
+
+    I-scaling.  For t != 0, ``theta: I(n) -> t I(n), C1 -> t C1``, fixing
+    the L modes and C, is an automorphism: the bracket is linear in the I
+    and C1 letters, and ``[I, I] = 0``.  So M(lambda, c, c0, c1) with x
+    acting as ``theta(x)`` is M(lambda, c, t c0, t c1), the word b of the
+    second module going to ``t^(len mu) b``, and theta commutes with omega,
+    so the form goes along.  With ``T = diag(t^(len mu))`` the second
+    module has the Gram matrix ``T G T``, the singular vectors ``T^-1 w``
+    and the I(0) matrix ``t T^-1 A T``, for G, w and A of the first.  Hence
+    a Gram entry is homogeneous in (c0, c1), of degree the sum of the I
+    counts of its row and column, and the determinant of degree
+    ``2 sum len mu``, which is D, as each ``f(k)`` is linear in (c0, c1).
     """
     _check_level(n, max_level)
     exponents, scale = _det_shape(n)

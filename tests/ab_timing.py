@@ -38,7 +38,9 @@ the same groups.  Then it times the shapes that no job kind times:
   and at level 10;
 - warm ``gram_matrix`` at level 6 at a partial ``Poly`` point, (1/3, -2)
   for (lambda, c) and c0 and c1 symbolic;
-- warm ``jacobi_report(6)``.
+- warm ``jacobi_report(6)``;
+- ``w22 realization --window 8`` through each checkout's ``cli.main``,
+  with stdout captured.
 
 The pytest suite does not collect this file (its name does not match
 ``test_*.py``).
@@ -47,9 +49,11 @@ The pytest suite does not collect this file (its name does not match
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import importlib
 import importlib.util
+import io
 import statistics
 import sys
 import time
@@ -251,6 +255,13 @@ def main(argv=None):
     points = {p: partial_point(p) for p in (a, b)}
     report("warm gram 6 partial", a, b, lambda p: p.verma.gram_matrix(6, points[p]), args.pairs)
     report("warm jacobi 6", a, b, lambda p: p.algebra.jacobi_report(6), args.pairs)
+    clis = {p: importlib.import_module(f"{p.__name__}.cli") for p in (a, b)}
+
+    def realization(p):
+        with contextlib.redirect_stdout(io.StringIO()):
+            clis[p].main(["realization", "--window", "8"])
+
+    report("realization 8", a, b, realization, args.pairs)
 
 
 if __name__ == "__main__":

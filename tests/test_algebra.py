@@ -299,6 +299,34 @@ class TestGeneratorContract:
         assert [str(g) for g in (C, C1, I(4), L(-1))] == ["C", "C1", "I(4)", "L(-1)"]
         assert repr(I(-7)) == "I(-7)"
 
+    @pytest.mark.parametrize(
+        "expression",
+        [
+            lambda g: 2 * g,
+            lambda g: g + 1,
+            lambda g: 1 - g,
+            lambda g: Fraction(1, 2) * g,
+            lambda g: g * Fraction(1, 2),
+            lambda g: g / 2,
+            lambda g: 2**g,
+            lambda g: -g,
+            lambda g: abs(g),
+            lambda g: sum([g]),
+            lambda g: Fraction(g),
+            lambda g: g.numerator,
+            lambda g: g.denominator,
+        ],
+    )
+    def test_a_letter_is_not_a_number(self, expression):
+        for g in (C, I(-2), L(1)):
+            with pytest.raises(TypeError, match="letter, not a number"):
+                expression(g)
+
+    def test_shift_and_mask_keep_their_int_results(self):
+        # .kind and .index read these two.
+        g = L(1)
+        assert (g >> 22, g & 7, 1 << 30 >> g, 7 & g) == (int(g) >> 22, int(g) & 7, 1 << 30 >> int(g), 7 & int(g))
+
 
 class TestIndexBound:
     def test_construction_rejected_beyond_limit(self):

@@ -82,13 +82,16 @@ class TestExamples:
         assert payload["diagonalizable"] is False
 
     def test_realization(self, capsys):
+        assert json.loads(run(capsys, "realization", "--window", "1")[1])["ok"]
         code, out, _ = run(capsys, "realization", "--window", "4")
         assert code == 0
         payload = json.loads(out)
+        assert list(payload) == ["intermediate_series", "semidirect", "ok"]
         assert payload["ok"]
-        assert payload["a0_minus1_matches_witt"]
-        assert payload["witt"]["failures"] == 0
-        assert len(payload["intermediate_series"]) == 5
+        series = payload["intermediate_series"]
+        assert [(s["a"], s["b"]) for s in series] == [("0", "-1"), ("0", "0"), ("1/2", "3"), ("1", "2"), ("-2", "5/7")]
+        assert all(s["checks"] == 20**2 * 9 and s["failures"] == 0 for s in series)
+        assert payload["semidirect"] == {"window": 4, "checks": 81, "failures": 0}
 
     def test_suite(self, capsys):
         code, out, _ = run(capsys, "suite")
@@ -324,6 +327,24 @@ class TestExitCodes:
     def test_usage_error_on_unknown_command(self, capsys):
         assert cli.main(["frobnicate"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "option, bound",
+        [("jacobi --max-index", cli.MAX_JACOBI_INDEX), ("realization --window", cli.MAX_REALIZATION_WINDOW)],
+    )
+    def test_window_beyond_its_bound_is_refused(self, option, bound):
+        # Each check costs about K^3, so K = bound + 1 is refused before any
+        # work, with one line on stderr and no traceback.
+        proc = subprocess.run(
+            [sys.executable, "-m", "w22.cli", *option.split(), str(bound + 1)],
+            stdin=subprocess.DEVNULL,
+            capture_output=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        name = option.split()[1]
+        assert proc.stderr.decode() == f"error: {name} must be <= {bound}: the check's cost grows as its cube\n"
 
     def test_usage_error_on_index_bound(self, capsys):
         code, _, err = run(capsys, "jacobi", "--max-index", "1000001")

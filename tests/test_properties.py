@@ -382,6 +382,46 @@ def test_singular_vectors_match_dense_kernel_at_dense_points(lam, c, m, c1, extr
         assert sv.i0_eigenvector == (not shifted)
 
 
+def i_count(word):
+    return sum(g.kind == "I" for g in word)
+
+
+def scaled_point(p, t):
+    return HWParams.rational(p.lam, p.c, t * p.c0, t * p.c1)
+
+
+@derandomized_short
+@given(st.integers(1, 4), st.builds(on_locus, rationals, rationals, st.integers(1, 4), rationals), rationals.filter(bool))
+def test_singular_vectors_scale_with_the_i_letters(n, point, t):
+    """The word b of M(lambda, c, t c0, t c1) is t^(I count of b) b of
+    M(lambda, c, c0, c1) (see test_gram_matrix_scales_with_the_i_letters),
+    so the singular vectors of the second module are those of the first
+    with each coordinate divided by t^(I count of its word): the same
+    primitive vectors up to a scalar, in the same order, with the same
+    I(0) status."""
+    p = HWParams.rational(*point)
+    found, twisted = singular_vectors(n, p), singular_vectors(n, scaled_point(p, t))
+    assert len(found) == len(twisted)
+    for sv, tw in zip(found, twisted):
+        scaled = {b: x / t ** i_count(b) for b, x in sv.vector.terms.items()}
+        assert tw.vector.terms.keys() == scaled.keys()
+        assert len({tw.vector.terms[b] / x for b, x in scaled.items()}) == 1
+        assert tw.i0_eigenvector == sv.i0_eigenvector
+
+
+@derandomized_short
+@given(st.integers(0, 5), points, rationals.filter(bool))
+def test_i0_matrix_scales_with_the_i_letters(n, p, t):
+    """Under the same map I(0) of the second module is t I(0) of the first,
+    so entry (i, j) of its I(0) matrix, the coefficient of b_i in I(0) b_j,
+    is t^(1 + I count of b_j - I count of b_i) times the first's."""
+    report, twisted = i0_matrix(n, p), i0_matrix(n, scaled_point(p, t))
+    count = [i_count(b) for b in report.basis]
+    assert twisted.entries == [
+        [t ** (1 + count[j] - count[i]) * x for j, x in enumerate(row)] for i, row in enumerate(report.entries)
+    ]
+
+
 @st.composite
 def dependent_columns(draw, scalars=rationals):
     """Up to 8 columns of height up to 8 with entries from ``scalars``, each

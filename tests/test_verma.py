@@ -24,6 +24,7 @@ from w22.verma import (
     i0_matrix,
     is_reducible,
     level_basis,
+    partitions,
     shapovalov_det,
     singular_vectors,
 )
@@ -400,6 +401,32 @@ class TestGram:
         for i in range(2):
             for j in range(2):
                 assert g.entries[i][j] == 0
+
+    @staticmethod
+    def block(gram, kind):
+        """The block of the form on the words whose letters are all of one
+        kind."""
+        rows = [i for i, b in enumerate(gram.basis) if all(g.kind == kind for g in b)]
+        return [[gram.entries[i][j] for j in rows] for i in rows]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_pure_i_block_vanishes(self, n):
+        # A positive I mode commutes with every I(-k) and kills v.
+        block = self.block(gram_matrix(n, DENSE_POINT), "I")
+        assert len(block) == len([*partitions(n)]) and not any(map(any, block))
+
+    @pytest.mark.parametrize("lam, c", [(Fraction(-7, 5), Fraction(11, 3)), (2, 1)])
+    def test_pure_l_block_depends_on_lambda_and_c_only(self, lam, c):
+        # Positive L modes on a word of L letters give L letters and C,
+        # never an I letter, so c0 and c1 never reach this block: it is the
+        # Virasoro form of M(-lambda, c).
+        for n in range(1, 7):
+            blocks = [
+                self.block(gram_matrix(n, HWParams.rational(lam, c, c0, c1)), "L")
+                for c0, c1 in [(0, 0), (Fraction(5, 7), 3), (1, 8), (-2, Fraction(1, 2))]
+            ]
+            assert len(blocks[0]) == len([*partitions(n)])
+            assert all(b == blocks[0] for b in blocks)
 
     @pytest.mark.parametrize("n", range(5))
     def test_symmetry_numeric(self, n):
